@@ -104,6 +104,12 @@ impl SharedRecorder {
     pub fn with<R>(&self, f: impl FnOnce(&ProofRecorder) -> R) -> R {
         f(&self.0.lock().expect("proof recorder lock"))
     }
+
+    /// Runs `f` with the locked recorder, mutably (checking advances the
+    /// recorder's append-only checker).
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut ProofRecorder) -> R) -> R {
+        f(&mut self.0.lock().expect("proof recorder lock"))
+    }
 }
 
 impl ProofLog for SharedRecorder {
@@ -130,7 +136,7 @@ impl ProofLog for SharedRecorder {
     }
 
     fn audit_snapshot(&self) -> Option<ProofAuditSnapshot> {
-        let rec = self.0.lock().expect("proof recorder lock");
+        let mut rec = self.0.lock().expect("proof recorder lock");
         Some(ProofAuditSnapshot {
             live_derived: rec.live_derived_sorted(),
             num_axioms: rec.num_axioms(),
@@ -174,8 +180,19 @@ impl EpisodeCertifier {
             return;
         }
         let start = Instant::now();
-        let verdict = self.recorder.with(rbmc_proof::ProofRecorder::check_current);
+        let verdict = self.recorder.with_mut(ProofRecorder::check_current);
         self.summary.check_time += start.elapsed();
+        // `debug-invariants` builds: the append-only checker must agree with
+        // a from-scratch check of the same log prefix, episode by episode.
+        #[cfg(feature = "debug-invariants")]
+        {
+            let one_shot = self.recorder.with(|rec| rec.bundle().check());
+            assert_eq!(
+                verdict.as_ref().err(),
+                one_shot.as_ref().err(),
+                "incremental and one-shot certificate checks disagree"
+            );
+        }
         match verdict {
             Ok(_) => self.summary.episodes_certified += 1,
             Err(e) => {

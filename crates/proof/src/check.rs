@@ -1,7 +1,14 @@
-//! Backward RUP/LRAT certificate checking. See the crate docs for the
-//! acceptance rules; this module is the enforcement.
+//! Append-only, backward RUP/LRAT certificate checking. See the crate docs
+//! for the acceptance rules; this module is the enforcement.
+//!
+//! A [`Checker`] reads a proof log front to back exactly once. Each step is
+//! structurally checked when it is first consumed, and each derived line is
+//! propagation-verified at most once: when the first final clause whose
+//! backward cone reaches it is checked. Logged lines never change, so a
+//! verdict reached for one episode holds for every later episode of the
+//! same log.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use rbmc_cnf::Lit;
@@ -113,9 +120,9 @@ impl std::error::Error for ProofError {}
 pub struct CheckStats {
     /// Total proof lines in the log.
     pub steps_total: usize,
-    /// Lines propagation-verified: the final clause plus every derived line
-    /// in its backward dependency cone (the rest get structural checks
-    /// only).
+    /// Lines propagation-verified by this call: the final clause plus every
+    /// derived line in its backward dependency cone that no earlier call on
+    /// the same log verified (the rest get structural checks only).
     pub steps_verified: usize,
 }
 
@@ -131,73 +138,89 @@ enum HintState {
     Open,
 }
 
-/// Partial assignment keyed by variable index; `true` means the positive
-/// literal holds.
-type Assignment = HashMap<usize, bool>;
-
-fn lit_state(assignment: &Assignment, lit: Lit) -> Option<bool> {
-    assignment
-        .get(&lit.var().index())
-        .map(|&v| v == lit.is_positive())
+/// Partial assignment over variable indices (`true`: the positive literal
+/// holds). One buffer serves every verification of a checker; its trail
+/// undoes exactly what the previous verification assigned.
+#[derive(Clone, Debug, Default)]
+struct Assignment {
+    values: Vec<Option<bool>>,
+    trail: Vec<usize>,
 }
 
-fn classify(assignment: &Assignment, clause: &[Lit]) -> HintState {
-    let mut unassigned: Option<Lit> = None;
-    for &lit in clause {
-        match lit_state(assignment, lit) {
-            Some(true) => return HintState::Satisfied,
-            Some(false) => {}
-            None => {
-                if unassigned.is_some() {
-                    return HintState::Open;
-                }
-                unassigned = Some(lit);
+impl Assignment {
+    /// Whether `lit` is true, false, or unassigned.
+    fn value(&self, lit: Lit) -> Option<bool> {
+        let value = self.values.get(lit.var().index()).copied().flatten()?;
+        Some(value == lit.is_positive())
+    }
+
+    /// Makes `lit` true.
+    fn assign(&mut self, lit: Lit) {
+        let var = lit.var().index();
+        if var >= self.values.len() {
+            self.values.resize(var + 1, None);
+        }
+        self.values[var] = Some(lit.is_positive());
+        self.trail.push(var);
+    }
+
+    /// Resets to the negation of `clause`. Returns `false` when the clause
+    /// is a tautology (contains both phases of a variable): such a clause
+    /// is trivially RUP and needs no propagation.
+    fn negate(&mut self, clause: &[Lit]) -> bool {
+        for var in self.trail.drain(..) {
+            self.values[var] = None;
+        }
+        for &lit in clause {
+            match self.value(lit) {
+                Some(true) => return false,
+                Some(false) => {}
+                None => self.assign(!lit),
             }
         }
+        true
     }
-    match unassigned {
-        None => HintState::Conflict,
-        Some(lit) => HintState::Unit(lit),
-    }
-}
 
-/// Asserts the negation of `clause` into a fresh assignment. Returns `None`
-/// when the clause is a tautology (contains both phases of a variable):
-/// such a clause is trivially RUP and needs no propagation.
-fn negate_into_assignment(clause: &[Lit]) -> Option<Assignment> {
-    let mut assignment = Assignment::new();
-    for &lit in clause {
-        // ¬clause asserts the negation of every literal.
-        let want = !lit.is_positive();
-        match assignment.insert(lit.var().index(), want) {
-            Some(prev) if prev != want => return None,
-            _ => {}
+    fn classify(&self, clause: &[Lit]) -> HintState {
+        let mut unassigned: Option<Lit> = None;
+        for &lit in clause {
+            match self.value(lit) {
+                Some(true) => return HintState::Satisfied,
+                Some(false) => {}
+                None => {
+                    if unassigned.is_some() {
+                        return HintState::Open;
+                    }
+                    unassigned = Some(lit);
+                }
+            }
+        }
+        match unassigned {
+            None => HintState::Conflict,
+            Some(lit) => HintState::Unit(lit),
         }
     }
-    Some(assignment)
 }
 
 /// Strict LRAT verification of one clause under its hints: sequential
 /// processing, every cited clause unit until a conflict. `step` is the
-/// citing line id for error reporting (0 = final clause).
-fn verify_hinted(
+/// citing line id for error reporting (0 = final clause); `body` resolves a
+/// cited id to its clause.
+fn verify_hinted<'a>(
+    assignment: &mut Assignment,
     step: u64,
     clause: &[Lit],
     hints: &[u64],
-    db: &HashMap<u64, &[Lit]>,
+    body: impl Fn(u64) -> Option<&'a [Lit]>,
 ) -> Result<(), ProofError> {
-    let Some(mut assignment) = negate_into_assignment(clause) else {
+    if !assignment.negate(clause) {
         return Ok(());
-    };
+    }
     for &hint in hints {
-        let body = *db
-            .get(&hint)
-            .ok_or(ProofError::UnknownHint { step, hint })?;
-        match classify(&assignment, body) {
+        let body = body(hint).ok_or(ProofError::UnknownHint { step, hint })?;
+        match assignment.classify(body) {
             HintState::Conflict => return Ok(()),
-            HintState::Unit(lit) => {
-                assignment.insert(lit.var().index(), lit.is_positive());
-            }
+            HintState::Unit(lit) => assignment.assign(lit),
             HintState::Satisfied => return Err(ProofError::SatisfiedHint { step, hint }),
             HintState::Open => return Err(ProofError::HintNotUnit { step, hint }),
         }
@@ -207,17 +230,22 @@ fn verify_hinted(
 
 /// Full-database RUP for hintless clauses: saturate unit propagation over
 /// every active clause until a conflict or a fixpoint.
-fn verify_full_db(step: u64, clause: &[Lit], db: &HashMap<u64, &[Lit]>) -> Result<(), ProofError> {
-    let Some(mut assignment) = negate_into_assignment(clause) else {
+fn verify_full_db(
+    assignment: &mut Assignment,
+    step: u64,
+    clause: &[Lit],
+    db: &[&[Lit]],
+) -> Result<(), ProofError> {
+    if !assignment.negate(clause) {
         return Ok(());
-    };
+    }
     loop {
         let mut progressed = false;
-        for body in db.values() {
-            match classify(&assignment, body) {
+        for body in db {
+            match assignment.classify(body) {
                 HintState::Conflict => return Ok(()),
                 HintState::Unit(lit) => {
-                    assignment.insert(lit.var().index(), lit.is_positive());
+                    assignment.assign(lit);
                     progressed = true;
                 }
                 HintState::Satisfied | HintState::Open => {}
@@ -229,15 +257,273 @@ fn verify_full_db(step: u64, clause: &[Lit], db: &HashMap<u64, &[Lit]>) -> Resul
     }
 }
 
-/// The whole acceptance procedure: hash binding (when `expected_hash` is
-/// given), structural coherence, backward marking from the final clause,
-/// and propagation verification of the marked cone.
+/// The clause a declaring step carries.
+fn body(step: &ProofStep) -> &[Lit] {
+    match step {
+        ProofStep::Axiom { lits, .. } | ProofStep::Derived { lits, .. } => lits,
+        ProofStep::Delete { .. } => unreachable!("a deletion declares no line"),
+    }
+}
+
+/// One declared proof line (axiom or derived clause).
+#[derive(Clone, Copy, Debug)]
+struct Line {
+    id: u64,
+    /// Position of the declaring step in the log, where the body lives.
+    step: u32,
+    derived: bool,
+    /// Not deleted (yet).
+    active: bool,
+    /// Propagation-verified, and with it the line's whole backward cone.
+    verified: bool,
+    /// In the cone of the check in progress (cleared when it returns).
+    marked: bool,
+}
+
+/// The clauses of the database `lines` describe (every active line).
+fn active_bodies<'a>(lines: &[Line], steps: &'a [ProofStep]) -> Vec<&'a [Lit]> {
+    lines
+        .iter()
+        .filter(|l| l.active)
+        .map(|l| body(&steps[l.step as usize]))
+        .collect()
+}
+
+/// Index of the line declared with `id` in `lines` (sorted by id).
+fn find(lines: &[Line], id: u64) -> Option<usize> {
+    lines.binary_search_by_key(&id, |l| l.id).ok()
+}
+
+/// The clause declared with `id`, looked up in `lines`.
+fn body_of<'a>(lines: &[Line], steps: &'a [ProofStep], id: u64) -> Option<&'a [Lit]> {
+    find(lines, id).map(|i| body(&steps[lines[i].step as usize]))
+}
+
+/// Append-only checker state over one proof log. Feed it the same, growing
+/// step list on every call; it consumes only the steps it has not seen and
+/// re-verifies no line it already accepted.
+///
+/// Soundness of the cache rests on two facts. The structural pass proves
+/// that each hint was active at the citing line's position, and hinted
+/// verification only reads the (immutable) bodies of the cited ids — so an
+/// id → body lookup answers exactly as the database at that position would.
+/// A hintless line needs full-database RUP against the database *at its
+/// position*, so that check runs when the line is consumed; its verdict is
+/// reported only if the line is ever marked.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Checker {
+    /// Log steps consumed so far.
+    cursor: usize,
+    /// Declared lines in id order — which is log order, ids being strictly
+    /// increasing — searched by id: the id → body index.
+    lines: Vec<Line>,
+    /// First structural fault of the consumed prefix. Sticky: every later
+    /// check of the log reports it, as a from-scratch check would.
+    fault: Option<ProofError>,
+    /// Hintless derived lines that failed full-database RUP against the
+    /// database at their own position.
+    hintless_failures: HashMap<u64, ProofError>,
+    /// Scratch assignment for propagation.
+    assignment: Assignment,
+}
+
+impl Checker {
+    fn is_active(&self, id: u64) -> bool {
+        find(&self.lines, id).is_some_and(|i| self.lines[i].active)
+    }
+
+    /// Derived line ids without a deletion record among the consumed
+    /// steps, ascending.
+    pub(crate) fn live_derived(&self) -> Vec<u64> {
+        self.lines
+            .iter()
+            .filter(|l| l.derived && l.active)
+            .map(|l| l.id)
+            .collect()
+    }
+
+    /// Structurally checks the steps appended since the last call: ids
+    /// strictly increasing, every hint active at its citing line, every
+    /// deletion naming a live derived line. The first fault is kept; later
+    /// steps are still consumed so the live set stays current.
+    pub(crate) fn consume(&mut self, steps: &[ProofStep]) {
+        for (pos, step) in steps.iter().enumerate().skip(self.cursor) {
+            let fault = match step {
+                ProofStep::Axiom { id, .. } => self.declare(*id, pos, false),
+                ProofStep::Derived { id, lits, hints } => {
+                    let unknown = hints.iter().copied().find(|&hint| !self.is_active(hint));
+                    let verdict = self.declare(*id, pos, true).and(match unknown {
+                        Some(hint) => Err(ProofError::UnknownHint { step: *id, hint }),
+                        None => Ok(()),
+                    });
+                    // Judged now, against the database at this position; a
+                    // log with a fault is rejected anyway, so skip it then.
+                    if verdict.is_ok() && hints.is_empty() && self.fault.is_none() {
+                        let before = &self.lines[..self.lines.len() - 1];
+                        let db = active_bodies(before, steps);
+                        if let Err(e) = verify_full_db(&mut self.assignment, *id, lits, &db) {
+                            self.hintless_failures.insert(*id, e);
+                        }
+                    }
+                    verdict
+                }
+                ProofStep::Delete { id } => match find(&self.lines, *id) {
+                    Some(i) if self.lines[i].derived && self.lines[i].active => {
+                        self.lines[i].active = false;
+                        Ok(())
+                    }
+                    _ => Err(ProofError::BadDelete { id: *id }),
+                },
+            };
+            if self.fault.is_none() {
+                self.fault = fault.err();
+            }
+        }
+        self.cursor = steps.len();
+    }
+
+    fn declare(&mut self, id: u64, pos: usize, derived: bool) -> Result<(), ProofError> {
+        if self.lines.last().is_some_and(|l| id <= l.id) {
+            return Err(ProofError::IdOrder { id });
+        }
+        self.lines.push(Line {
+            id,
+            step: u32::try_from(pos).expect("proof log longer than u32::MAX steps"),
+            derived,
+            active: true,
+            verified: false,
+            marked: false,
+        });
+        Ok(())
+    }
+
+    /// Checks `final_clause` against `steps`, which must extend the log of
+    /// every earlier call. Structure first, then backward marking from the
+    /// final clause's hints, then propagation verification of the newly
+    /// marked lines in ascending id order, then the final clause.
+    pub(crate) fn check(
+        &mut self,
+        steps: &[ProofStep],
+        final_clause: &FinalClause,
+    ) -> Result<CheckStats, ProofError> {
+        self.consume(steps);
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
+        }
+        if let Some(&hint) = final_clause.hints.iter().find(|&&h| !self.is_active(h)) {
+            return Err(ProofError::UnknownHint { step: 0, hint });
+        }
+        let cone = self.mark_cone(steps, final_clause);
+        let verdict = self.verify_cone(steps, &cone, final_clause);
+        for &i in &cone {
+            self.lines[i].marked = false;
+        }
+        verdict?;
+        Ok(CheckStats {
+            steps_total: steps.len(),
+            steps_verified: cone.len() + 1,
+        })
+    }
+
+    /// Marks the not-yet-verified derived lines the final clause depends
+    /// on, walking hints backward from it; the walk stops at axioms and at
+    /// verified lines. Returns the marked line indices, ascending.
+    fn mark_cone(&mut self, steps: &[ProofStep], final_clause: &FinalClause) -> Vec<usize> {
+        let mut cone = Vec::new();
+        // Every line below `below` is marked or verified. Full-database RUP
+        // may lean on any earlier line, so a hintless line (or a hintless,
+        // non-tautological final) raises it to its own position.
+        let mut below = 0;
+        if final_clause.hints.is_empty() {
+            if self.assignment.negate(&final_clause.lits) {
+                self.mark_below(self.lines.len(), &mut below, &mut cone);
+            }
+        } else {
+            for &hint in &final_clause.hints {
+                self.mark(hint, &mut cone);
+            }
+        }
+        let mut next = 0;
+        while let Some(&i) = cone.get(next) {
+            next += 1;
+            let ProofStep::Derived { hints, .. } = &steps[self.lines[i].step as usize] else {
+                unreachable!("only derived lines are marked");
+            };
+            if hints.is_empty() {
+                self.mark_below(i, &mut below, &mut cone);
+            } else {
+                for &hint in hints {
+                    self.mark(hint, &mut cone);
+                }
+            }
+        }
+        cone.sort_unstable();
+        cone
+    }
+
+    fn mark(&mut self, id: u64, cone: &mut Vec<usize>) {
+        let i = find(&self.lines, id).expect("hints resolved by the structural pass");
+        self.mark_index(i, cone);
+    }
+
+    fn mark_index(&mut self, i: usize, cone: &mut Vec<usize>) {
+        let line = &mut self.lines[i];
+        if line.derived && !line.verified && !line.marked {
+            line.marked = true;
+            cone.push(i);
+        }
+    }
+
+    fn mark_below(&mut self, end: usize, below: &mut usize, cone: &mut Vec<usize>) {
+        for i in *below..end {
+            self.mark_index(i, cone);
+        }
+        *below = (*below).max(end);
+    }
+
+    /// Verifies the marked lines in ascending order, caching each success,
+    /// then the final clause. Stops at the first failure, which is never
+    /// cached.
+    fn verify_cone(
+        &mut self,
+        steps: &[ProofStep],
+        cone: &[usize],
+        final_clause: &FinalClause,
+    ) -> Result<(), ProofError> {
+        for &i in cone {
+            let ProofStep::Derived { id, lits, hints } = &steps[self.lines[i].step as usize] else {
+                unreachable!("only derived lines are marked");
+            };
+            if hints.is_empty() {
+                if let Some(e) = self.hintless_failures.get(id) {
+                    return Err(e.clone());
+                }
+            } else {
+                verify_hinted(&mut self.assignment, *id, lits, hints, |h| {
+                    body_of(&self.lines, steps, h)
+                })?;
+            }
+            self.lines[i].verified = true;
+        }
+        if final_clause.hints.is_empty() {
+            let db = active_bodies(&self.lines, steps);
+            verify_full_db(&mut self.assignment, 0, &final_clause.lits, &db)
+        } else {
+            let hints = &final_clause.hints;
+            verify_hinted(&mut self.assignment, 0, &final_clause.lits, hints, |h| {
+                body_of(&self.lines, steps, h)
+            })
+        }
+    }
+}
+
+/// The one-shot acceptance procedure: hash binding (when `expected_hash`
+/// is given), then a fresh [`Checker`] fed the whole log once.
 pub(crate) fn check_certificate(
     expected_hash: Option<u64>,
     steps: &[ProofStep],
     final_clause: &FinalClause,
 ) -> Result<CheckStats, ProofError> {
-    // --- hash binding ----------------------------------------------------
     if let Some(expected) = expected_hash {
         let mut hash = FNV_OFFSET;
         for step in steps {
@@ -255,106 +541,7 @@ pub(crate) fn check_certificate(
             });
         }
     }
-
-    // --- structural pass -------------------------------------------------
-    // Ids strictly increasing; every hint of every step cites a line that
-    // is declared earlier and still active (not deleted) at that point.
-    let mut last_id = 0u64;
-    let mut active: HashSet<u64> = HashSet::new();
-    let mut derived_ids: HashSet<u64> = HashSet::new();
-    for step in steps {
-        match step {
-            ProofStep::Axiom { id, .. } => {
-                if *id <= last_id {
-                    return Err(ProofError::IdOrder { id: *id });
-                }
-                last_id = *id;
-                active.insert(*id);
-            }
-            ProofStep::Derived { id, hints, .. } => {
-                if *id <= last_id {
-                    return Err(ProofError::IdOrder { id: *id });
-                }
-                last_id = *id;
-                for &hint in hints {
-                    if !active.contains(&hint) {
-                        return Err(ProofError::UnknownHint { step: *id, hint });
-                    }
-                }
-                active.insert(*id);
-                derived_ids.insert(*id);
-            }
-            ProofStep::Delete { id } => {
-                if !derived_ids.contains(id) || !active.remove(id) {
-                    return Err(ProofError::BadDelete { id: *id });
-                }
-            }
-        }
-    }
-    for &hint in &final_clause.hints {
-        if !active.contains(&hint) {
-            return Err(ProofError::UnknownHint { step: 0, hint });
-        }
-    }
-
-    // --- backward marking ------------------------------------------------
-    // Only derived lines reachable from the final clause's hints need
-    // propagation verification. A hintless marked line falls back to
-    // full-database RUP, which may use anything — mark everything then.
-    let mut marked: HashSet<u64> = final_clause.hints.iter().copied().collect();
-    // A hintless, non-tautological final clause goes through full-database
-    // RUP, which may lean on any derived line — verify them all.
-    let mut mark_all =
-        final_clause.hints.is_empty() && negate_into_assignment(&final_clause.lits).is_some();
-    for step in steps.iter().rev() {
-        if let ProofStep::Derived { id, hints, .. } = step {
-            if mark_all || marked.contains(id) {
-                if hints.is_empty() {
-                    mark_all = true;
-                } else {
-                    marked.extend(hints.iter().copied());
-                }
-            }
-        }
-    }
-
-    // --- forward verification over the marked cone -----------------------
-    let mut db: HashMap<u64, &[Lit]> = HashMap::new();
-    let mut verified = 0usize;
-    for step in steps {
-        match step {
-            ProofStep::Axiom { id, lits } => {
-                db.insert(*id, lits);
-            }
-            ProofStep::Derived { id, lits, hints } => {
-                if mark_all || marked.contains(id) {
-                    if hints.is_empty() {
-                        verify_full_db(*id, lits, &db)?;
-                    } else {
-                        verify_hinted(*id, lits, hints, &db)?;
-                    }
-                    verified += 1;
-                }
-                db.insert(*id, lits);
-            }
-            ProofStep::Delete { id } => {
-                db.remove(id);
-            }
-        }
-    }
-    if final_clause.hints.is_empty() {
-        if negate_into_assignment(&final_clause.lits).is_some() {
-            verify_full_db(0, &final_clause.lits, &db)?;
-        }
-    } else {
-        verify_hinted(0, &final_clause.lits, &final_clause.hints, &db)?;
-    }
-    verified += 1;
-
-    Ok(CheckStats {
-        steps_total: steps.len(),
-        steps_verified: verified,
-    })
+    Checker::default().check(steps, final_clause)
 }
 
 #[cfg(test)]

@@ -17,8 +17,17 @@
 //!   check before any propagation runs.
 //! - Checking is **backward**: only the steps reachable from the final
 //!   clause's hints are propagation-verified (the rest get structural checks
-//!   only), which keeps repeated per-episode checks cheap in an incremental
-//!   session.
+//!   only).
+//! - Checking is **append-only**: a recorder's checker consumes each logged
+//!   step once, structurally, and propagation-verifies each derived line at
+//!   most once — logged lines never change, so a line accepted for one
+//!   episode stays accepted for every later one. An episode's check costs
+//!   the steps logged since the previous check, plus the derived lines its
+//!   final clause reaches that no earlier episode reached, plus the final
+//!   clause itself; repeated per-episode checks of an incremental session
+//!   are therefore linear in the log overall. A one-shot
+//!   [`CertificateBundle::check`] is the same procedure from an empty
+//!   cache.
 //! - Hint verification is **strict LRAT**: hints are processed in order and
 //!   each cited clause must be unit (propagating one literal) until a
 //!   conflict closes the step. A satisfied or non-unit hint rejects the
@@ -42,6 +51,11 @@
 //! rec.finalize(&[], &[1, 2]);
 //! let stats = rec.check_current().expect("valid certificate");
 //! assert_eq!(stats.steps_verified, 1); // just the final clause
+//!
+//! // A second episode: only the new line and the new final are verified.
+//! rec.derived(3, &[x], &[1]);
+//! rec.finalize(&[], &[3, 2]);
+//! assert_eq!(rec.check_current().unwrap().steps_verified, 2);
 //! let bundle = rec.bundle();
 //! assert!(bundle.check().is_ok());
 //! ```
@@ -126,7 +140,7 @@ pub struct CertificateBundle {
 impl CertificateBundle {
     /// Verifies the certificate: hash binding, structural coherence of ids
     /// and hints, and backward RUP/LRAT checking of every step the final
-    /// clause depends on.
+    /// clause depends on — a fresh checker fed the whole log once.
     pub fn check(&self) -> Result<CheckStats, ProofError> {
         check::check_certificate(Some(self.formula_hash), &self.steps, &self.final_clause)
     }
@@ -152,7 +166,10 @@ const HASH_SEP: u32 = u32::MAX;
 ///
 /// One recorder serves one solver for its whole incremental session; each
 /// UNSAT episode overwrites the final clause, and checking or bundling
-/// always refers to the most recent one. See the crate docs for an example.
+/// always refers to the most recent one. The recorder owns an append-only
+/// checker over its log (see the crate docs), so checking every episode in
+/// turn costs one pass over the log overall. See the crate docs for an
+/// example.
 #[derive(Clone, Debug)]
 pub struct ProofRecorder {
     steps: Vec<ProofStep>,
@@ -160,9 +177,8 @@ pub struct ProofRecorder {
     /// Running FNV-1a over the axiom lines.
     hash: u64,
     num_axioms: u64,
-    /// Derived line ids without a deletion record, in emission order (the
-    /// audit snapshot sorts; deletions are rare enough for a linear sweep).
-    live_derived: Vec<u64>,
+    /// Checker state over `steps`, advanced on each check or audit.
+    checker: check::Checker,
 }
 
 // Not derived: the derived impl would zero-initialise `hash`, silently
@@ -182,7 +198,7 @@ impl ProofRecorder {
             final_clause: None,
             hash: FNV_OFFSET,
             num_axioms: 0,
-            live_derived: Vec::new(),
+            checker: check::Checker::default(),
         }
     }
 
@@ -201,7 +217,6 @@ impl ProofRecorder {
 
     /// Records a derived line (learned clause or root-level unit fact).
     pub fn derived(&mut self, id: u64, lits: &[Lit], hints: &[u64]) {
-        self.live_derived.push(id);
         self.steps.push(ProofStep::Derived {
             id,
             lits: lits.to_vec(),
@@ -211,9 +226,6 @@ impl ProofRecorder {
 
     /// Records the deletion of a derived line.
     pub fn delete(&mut self, id: u64) {
-        if let Some(pos) = self.live_derived.iter().position(|&l| l == id) {
-            self.live_derived.swap_remove(pos);
-        }
         self.steps.push(ProofStep::Delete { id });
     }
 
@@ -247,21 +259,23 @@ impl ProofRecorder {
     }
 
     /// Derived line ids without a deletion record, sorted ascending — the
-    /// recorder's half of the `debug-invariants` coherence audit.
-    pub fn live_derived_sorted(&self) -> Vec<u64> {
-        let mut live = self.live_derived.clone();
-        live.sort_unstable();
-        live
+    /// recorder's half of the `debug-invariants` coherence audit. Read off
+    /// the checker's live set after it consumes the pending steps.
+    pub fn live_derived_sorted(&mut self) -> Vec<u64> {
+        self.checker.consume(&self.steps);
+        self.checker.live_derived()
     }
 
     /// Checks the current episode in place (no copy of the log): the most
     /// recent final clause against the steps recorded so far. The hash is
     /// the recorder's own, so only structure and propagation are verified.
+    /// Only the steps logged since the previous call, and the lines no
+    /// earlier call verified, are checked (see the crate docs).
     ///
     /// Returns [`ProofError::NoFinal`] if no episode has ended UNSAT yet.
-    pub fn check_current(&self) -> Result<CheckStats, ProofError> {
+    pub fn check_current(&mut self) -> Result<CheckStats, ProofError> {
         let final_clause = self.final_clause.as_ref().ok_or(ProofError::NoFinal)?;
-        check::check_certificate(None, &self.steps, final_clause)
+        self.checker.check(&self.steps, final_clause)
     }
 
     /// Snapshots the log into an owned [`CertificateBundle`] for the most
@@ -306,7 +320,7 @@ mod tests {
 
     #[test]
     fn valid_chain_checks() {
-        let rec = chain_recorder();
+        let mut rec = chain_recorder();
         let stats = rec.check_current().unwrap();
         assert_eq!(stats.steps_total, 5);
         assert!(stats.steps_verified >= 3);
@@ -359,6 +373,108 @@ mod tests {
         rec.delete(2);
         assert_eq!(rec.live_derived_sorted(), vec![3]);
         assert_eq!(rec.num_axioms(), 1);
+    }
+
+    /// Checks the current episode incrementally and from scratch; the two
+    /// must agree (same error, or both accept). Returns the incremental
+    /// result.
+    fn check_both(rec: &mut ProofRecorder) -> Result<CheckStats, ProofError> {
+        let incremental = rec.check_current();
+        let one_shot = rec.bundle().check();
+        assert_eq!(incremental.as_ref().err(), one_shot.as_ref().err());
+        incremental
+    }
+
+    #[test]
+    fn uncited_corrupt_line_is_rejected_once_reached_and_never_cached() {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1)]);
+        rec.axiom(2, &[lit(-1)]);
+        // Not RUP: ¬2 plus the unit 1 propagates, but nothing conflicts.
+        rec.derived(3, &[lit(2)], &[1]);
+        rec.finalize(&[], &[1, 2]);
+        assert_eq!(check_both(&mut rec).unwrap().steps_verified, 1);
+        // A valid line citing the corrupt one: the first cone that reaches
+        // line 3 rejects it.
+        rec.derived(4, &[lit(2)], &[3]);
+        rec.finalize(&[lit(2)], &[4]);
+        let bad = Err(ProofError::NoConflict { step: 3 });
+        assert_eq!(check_both(&mut rec), bad);
+        // A cone that avoids it is still accepted...
+        rec.finalize(&[], &[1, 2]);
+        assert_eq!(check_both(&mut rec).unwrap().steps_verified, 1);
+        // ...and every later cone through it rejects again, directly or via
+        // line 4: the failure was not cached as a verdict.
+        rec.finalize(&[lit(2)], &[4]);
+        assert_eq!(check_both(&mut rec), bad);
+        rec.finalize(&[lit(2)], &[3]);
+        assert_eq!(check_both(&mut rec), bad);
+    }
+
+    /// Axioms over which `[x3]` is RUP only with the unit `[x1]` present:
+    /// (x1∨x2), (x1∨¬x2) — which yield x1 only by RUP, not by propagation
+    /// alone — plus (x3∨x6), (¬x1∨¬x6∨x7), (¬x1∨¬x6∨¬x7).
+    fn needs_unit_x1() -> ProofRecorder {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1), lit(2)]);
+        rec.axiom(2, &[lit(1), lit(-2)]);
+        rec.axiom(3, &[lit(3), lit(6)]);
+        rec.axiom(4, &[lit(-1), lit(-6), lit(7)]);
+        rec.axiom(5, &[lit(-1), lit(-6), lit(-7)]);
+        rec
+    }
+
+    #[test]
+    fn hintless_line_is_judged_at_its_own_position() {
+        // Valid when logged (the unit x1 is in the database), then the unit
+        // is deleted: the verdict must not change.
+        let mut rec = needs_unit_x1();
+        rec.derived(6, &[lit(1)], &[1, 2]);
+        rec.derived(7, &[lit(3)], &[]);
+        rec.finalize(&[lit(1)], &[6]);
+        assert!(check_both(&mut rec).is_ok());
+        rec.delete(6);
+        rec.finalize(&[lit(3)], &[7]);
+        // Line 7 plus the final clause; line 6 was verified already.
+        assert_eq!(check_both(&mut rec).unwrap().steps_verified, 2);
+
+        // Invalid when logged (no unit x1 yet); deriving the unit afterwards
+        // must not rescue it.
+        let mut rec = needs_unit_x1();
+        rec.derived(6, &[lit(3)], &[]);
+        rec.derived(7, &[lit(1)], &[1, 2]);
+        rec.finalize(&[lit(1)], &[7]);
+        assert!(check_both(&mut rec).is_ok());
+        rec.finalize(&[lit(3)], &[6]);
+        assert_eq!(
+            check_both(&mut rec),
+            Err(ProofError::NoConflict { step: 6 })
+        );
+    }
+
+    #[test]
+    fn citing_a_line_deleted_earlier_is_rejected_even_if_verified() {
+        let mut rec = ProofRecorder::new();
+        rec.axiom(1, &[lit(1)]);
+        rec.axiom(2, &[lit(-1)]);
+        rec.derived(3, &[lit(1)], &[1]);
+        rec.finalize(&[], &[3, 2]);
+        assert_eq!(check_both(&mut rec).unwrap().steps_verified, 2);
+        rec.delete(3);
+        // The final clause cites the deleted (but verified) line.
+        rec.finalize(&[], &[3, 2]);
+        assert_eq!(
+            check_both(&mut rec),
+            Err(ProofError::UnknownHint { step: 0, hint: 3 })
+        );
+        // So does a later derived line; that structural fault rejects every
+        // later episode, whatever its final clause cites.
+        rec.derived(4, &[lit(1)], &[3]);
+        rec.finalize(&[], &[1, 2]);
+        let bad = Err(ProofError::UnknownHint { step: 4, hint: 3 });
+        assert_eq!(check_both(&mut rec), bad);
+        rec.axiom(5, &[lit(2)]);
+        assert_eq!(check_both(&mut rec), bad);
     }
 
     #[test]

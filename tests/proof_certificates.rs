@@ -27,7 +27,7 @@
 use proptest::prelude::*;
 use refined_bmc::bmc::SharedRecorder;
 use refined_bmc::cnf::Lit;
-use refined_bmc::proof::{CertificateBundle, ProofError, ProofStep};
+use refined_bmc::proof::{CertificateBundle, FinalClause, ProofError, ProofRecorder, ProofStep};
 use refined_bmc::solver::{SolveResult, Solver, SolverOptions};
 
 fn lit(n: i64) -> Lit {
@@ -310,4 +310,197 @@ fn one_specific_hint_reorder_is_rejected() {
         corrupt.check(),
         Err(ProofError::HintNotUnit { hint: 3, .. })
     ));
+}
+
+/// Deterministic xorshift stream for the session differential (seeded, so
+/// every run replays the same sessions).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn lit(&mut self, num_vars: u64) -> Lit {
+        let var = 1 + self.below(num_vars) as i64;
+        lit(if self.below(2) == 0 { var } else { -var })
+    }
+}
+
+/// Replays a session's proof log into a fresh recorder, checking each
+/// episode — `(log length, final clause)` — incrementally and one-shot; the
+/// two must agree. Returns how many episodes were rejected.
+fn replay_agrees(steps: &[ProofStep], episodes: &[(usize, FinalClause)]) -> usize {
+    let mut rec = ProofRecorder::new();
+    let mut fed = 0;
+    let mut rejected = 0;
+    for (len, final_clause) in episodes {
+        for step in &steps[fed..*len] {
+            match step {
+                ProofStep::Axiom { id, lits } => rec.axiom(*id, lits),
+                ProofStep::Derived { id, lits, hints } => rec.derived(*id, lits, hints),
+                ProofStep::Delete { id } => rec.delete(*id),
+            }
+        }
+        fed = *len;
+        rec.finalize(&final_clause.lits, &final_clause.hints);
+        let incremental = rec.check_current();
+        let one_shot = rec.bundle().check();
+        assert_eq!(
+            incremental.as_ref().err(),
+            one_shot.as_ref().err(),
+            "checkers disagree at log length {len}"
+        );
+        rejected += usize::from(incremental.is_err());
+    }
+    rejected
+}
+
+/// Incremental vs one-shot: one solver session with many assumption
+/// episodes, clauses added between episodes, and reduction aggressive
+/// enough to delete learned clauses mid-session. After every UNSAT episode
+/// the recorder's append-only `check_current` must agree with a one-shot
+/// check of the bundled prefix — both accept, or both reject with the same
+/// error — and across the session no derived line is verified twice. The
+/// session's log is then replayed with single-literal corruptions of
+/// derived lines, where the two must still agree episode by episode.
+#[test]
+fn incremental_checks_agree_with_one_shot_across_sessions() {
+    const NUM_VARS: u64 = 14;
+    let mut unsat_episodes = 0u64;
+    let mut deleted = 0u64;
+    let mut rejected_replays = 0usize;
+    for seed in 1..=12u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let recorder = SharedRecorder::new();
+        let mut solver = Solver::with_options(SolverOptions {
+            reduce_base: 4,
+            reduce_inc: 2,
+            ..SolverOptions::default()
+        });
+        solver.set_proof_log(Box::new(recorder.clone()));
+        solver.reserve_vars(NUM_VARS as usize);
+        let mut verified_lines = 0usize;
+        let mut episodes = Vec::new();
+        for episode in 0..40 {
+            // Random 3-clauses near the satisfiability threshold, a few more
+            // per episode, so the session keeps learning and reducing.
+            let new_clauses = if episode == 0 { 40 } else { 2 };
+            for _ in 0..new_clauses {
+                let clause: Vec<Lit> = (0..3).map(|_| rng.lit(NUM_VARS)).collect();
+                solver.add_clause(&clause);
+            }
+            let assumptions: Vec<Lit> = (0..1 + rng.below(4)).map(|_| rng.lit(NUM_VARS)).collect();
+            if solver.solve_under(&assumptions) != SolveResult::Unsat {
+                continue;
+            }
+            unsat_episodes += 1;
+            let (incremental, one_shot) =
+                recorder.with_mut(|rec| (rec.check_current(), rec.bundle().check()));
+            assert_eq!(
+                incremental.as_ref().err(),
+                one_shot.as_ref().err(),
+                "seed {seed}, episode {episode}: checkers disagree"
+            );
+            episodes.push(recorder.with(|rec| {
+                let final_clause = rec.final_clause().expect("UNSAT episode").clone();
+                (rec.num_steps(), final_clause)
+            }));
+            let stats = incremental.expect("genuine certificate must check");
+            verified_lines += stats.steps_verified - 1; // minus the final clause
+            assert!(stats.steps_verified <= one_shot.unwrap().steps_verified);
+        }
+        let steps = recorder.with(|rec| rec.bundle().steps);
+        let derived: Vec<usize> = (0..steps.len())
+            .filter(|&i| matches!(steps[i], ProofStep::Derived { .. }))
+            .collect();
+        assert!(
+            verified_lines <= derived.len(),
+            "seed {seed}: {verified_lines} verifications of {} derived lines",
+            derived.len()
+        );
+        for k in 1..=3 {
+            let Some(&at) = derived.get(k * derived.len() / 4) else {
+                continue;
+            };
+            let mut corrupt = steps.clone();
+            if let ProofStep::Derived { lits, .. } = &mut corrupt[at] {
+                if let Some(first) = lits.first_mut() {
+                    *first = !*first;
+                }
+            }
+            rejected_replays += replay_agrees(&corrupt, &episodes);
+        }
+        deleted += solver.stats().deleted;
+    }
+    assert!(unsat_episodes > 50, "only {unsat_episodes} UNSAT episodes");
+    assert!(deleted > 0, "the sessions never deleted a learned clause");
+    assert!(rejected_replays > 0, "no corrupted replay was rejected");
+}
+
+/// Engine runs under `ProofMode::Check` certify every UNSAT episode through
+/// the recorder's append-only checker with zero rejections, and checking
+/// leaves the log untouched: the same run under `ProofMode::Log` logs
+/// exactly as many steps. With `--features debug-invariants`, the
+/// certifier additionally compares every episode's verdict with a one-shot
+/// check of the same prefix and panics on any disagreement, so these runs
+/// are then an episode-by-episode differential of both engines.
+#[test]
+fn engine_runs_certify_incrementally() {
+    use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, ProofMode};
+    use refined_bmc::gens::families;
+
+    fn run(model: &Model, max_depth: usize, ic3: bool, proof: ProofMode) -> BmcRun {
+        let options = BmcOptions {
+            max_depth,
+            proof,
+            solver: SolverOptions {
+                reduce_base: 16,
+                reduce_inc: 8,
+                ..SolverOptions::default()
+            },
+            ..BmcOptions::default()
+        };
+        if ic3 {
+            Ic3Engine::new(model.clone(), options).run_collecting()
+        } else {
+            BmcEngine::new(model.clone(), options).run_collecting()
+        }
+    }
+
+    let instances = [
+        ("mutex_arbiter(4)", families::mutex_arbiter(4), 8),
+        (
+            "pipelined_handshake(3)",
+            families::pipelined_handshake(3),
+            8,
+        ),
+        ("tmr_voter(2, 1)", families::tmr_voter(2, 1), 6),
+        ("fifo_unguarded(2)", families::fifo_unguarded(2), 8),
+    ];
+    for (name, model, max_depth) in &instances {
+        for ic3 in [false, true] {
+            let engine = if ic3 { "ic3" } else { "bmc" };
+            let checked = run(model, *max_depth, ic3, ProofMode::Check);
+            let logged = run(model, *max_depth, ic3, ProofMode::Log);
+            let checked = checked.proof.expect("proof summary under Check");
+            let logged = logged.proof.expect("proof summary under Log");
+            assert_eq!(
+                checked.rejections, 0,
+                "{name} [{engine}]: {:?}",
+                checked.first_rejection
+            );
+            assert!(
+                checked.episodes_certified > 0,
+                "{name} [{engine}]: no UNSAT episode certified"
+            );
+            assert_eq!(
+                checked.steps_logged, logged.steps_logged,
+                "{name} [{engine}]: checking changed the log"
+            );
+        }
+    }
 }
