@@ -23,10 +23,10 @@ fn bench_fresh(c: &mut Criterion) {
 
 fn bench_engine_sweep(c: &mut Criterion) {
     // The BmcEngine pattern: one instance per depth k = 0..=K from a single
-    // unroller, consumed the way `make_solver` consumes it (every clause of
-    // the prefix visited, plus the bad-state unit). With the prefix cache
-    // each frame is encoded once, so the whole sweep is linear in K where a
-    // fresh `formula(k)` per depth is quadratic.
+    // unroller, consumed the way a fresh-solver episode consumes it (every
+    // clause of the prefix visited, plus the bad-state unit). With the
+    // prefix cache each frame is encoded once, so the whole sweep is linear
+    // in K where a fresh `formula(k)` per depth is quadratic.
     let model = families::fifo_guarded(4);
     for k in [15usize, 20] {
         c.bench_function(format!("unroll/sweep_k{k}"), |b| {

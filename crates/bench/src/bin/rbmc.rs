@@ -104,7 +104,10 @@
 //!   episode** through the independent checker of `rbmc-proof` — a
 //!   rejected certificate fails the file and the sweep exits non-zero (the
 //!   fail-closed CI shape, symmetric to the witness and invariant gates).
-//!   Under `--selfcheck`, the differential cross-runs inherit the proof
+//!   `check` also fails any file with a proof that carries no invariant
+//!   (k-induction, also as a portfolio winner): such a proof is neither
+//!   invariant-checked nor certified. The summary line counts
+//!   invariant-checked and uncertified proofs apart. Under `--selfcheck`, the differential cross-runs inherit the proof
 //!   mode, so the relaxed/parallel grains are certified too.
 //! - `--smoke` shrinks the export to the small suite and the default depth
 //!   bound to 10 (CI mode).
@@ -455,6 +458,59 @@ fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> 
     ))
 }
 
+/// The fail-closed gate of `--proof check` for proofs: a `Proved` verdict
+/// without an invariant (k-induction, also when it wins a portfolio race)
+/// was established by neither a checked invariant nor a checked
+/// certificate, so a certified sweep must not report it. Returns one
+/// diagnostic naming every such property, or `None` when the run is clean
+/// or the mode does not check.
+fn uncertified_proofs(stem: &str, run: &BmcRun, mode: ProofMode) -> Option<String> {
+    if !mode.checks() {
+        return None;
+    }
+    let names: Vec<&str> = run
+        .properties
+        .iter()
+        .filter(|p| {
+            matches!(
+                p.verdict,
+                PropertyVerdict::Proved {
+                    invariant_clauses: None,
+                    ..
+                }
+            )
+        })
+        .map(|p| p.name.as_str())
+        .collect();
+    (!names.is_empty()).then(|| {
+        format!(
+            "{stem}: --proof check: {} proof{} carr{} neither a checked invariant nor a \
+             certificate: {}",
+            names.len(),
+            if names.len() == 1 { "" } else { "s" },
+            if names.len() == 1 { "ies" } else { "y" },
+            names.join(", ")
+        )
+    })
+}
+
+/// Splits the sweep's proved cases into (invariant-checked, uncertified) by
+/// their `invariant_clauses` extra (`-1` marks a proof without invariant).
+fn proof_counts(cases: &[BenchCase]) -> (usize, usize) {
+    let extra = |c: &BenchCase, key: &str| {
+        c.extra
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(-1.0, |(_, v)| *v)
+    };
+    let proved: Vec<&BenchCase> = cases.iter().filter(|c| extra(c, "proved") > 0.0).collect();
+    let checked = proved
+        .iter()
+        .filter(|c| extra(c, "invariant_clauses") >= 0.0)
+        .count();
+    (checked, proved.len() - checked)
+}
+
 /// Re-runs the whole problem under an alternative configuration and returns
 /// one diagnostic per property whose per-depth verdict sequence differs
 /// from the main run's.
@@ -690,6 +746,9 @@ fn check_file(
                     .unwrap_or("(no description)"),
             ));
         }
+    }
+    if let Some(e) = uncertified_proofs(&stem, &run, options.proof) {
+        return Err(e);
     }
     for (idx, prop_report) in run.properties.iter().enumerate() {
         let (status, detail) = match &prop_report.verdict {
@@ -1378,11 +1437,7 @@ fn main() -> ExitCode {
                 .any(|(k, v)| k == "retirement_depth" && *v >= 0.0)
         })
         .count();
-    let proved = report
-        .cases
-        .iter()
-        .filter(|c| c.extra.iter().any(|(k, v)| k == "proved" && *v > 0.0))
-        .count();
+    let (proved_checked, proved_uncertified) = proof_counts(&report.cases);
     // Lint totals, one contribution per file (every property of a file
     // carries the same counts; skipped files contribute via their one case).
     let (mut lint_warnings, mut lint_errors) = (0u64, 0u64);
@@ -1402,14 +1457,15 @@ fn main() -> ExitCode {
     let properties = report.cases.len() - skipped;
     println!(
         "\nchecked {} files / {} properties in {:.3}s: {} falsified (witnesses validated), \
-         {} proved (invariants checked), {} open, {} skipped, {} failures; \
-         lint: {} warning{}, {} error{}",
+         {} proved (invariants checked), {} proved uncertified, {} open, {} skipped, \
+         {} failures; lint: {} warning{}, {} error{}",
         files.len() - skipped,
         properties,
         start.elapsed().as_secs_f64(),
         falsified,
-        proved,
-        properties - falsified - proved,
+        proved_checked,
+        proved_uncertified,
+        properties - falsified - proved_checked - proved_uncertified,
         skipped,
         failures,
         lint_warnings,
@@ -1427,9 +1483,10 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{verdict_mismatches, witness_text};
+    use super::{proof_counts, uncertified_proofs, verdict_mismatches, witness_text};
+    use rbmc_bench::BenchCase;
     use rbmc_core::SolveResult::{Sat, Unsat};
-    use rbmc_core::{PropertyVerdict, Trace};
+    use rbmc_core::{BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, Trace};
 
     #[test]
     fn witness_text_prints_x_at_dontcare_positions_only() {
@@ -1482,5 +1539,91 @@ mod tests {
         let found = verdict_mismatches("file", &["p0", "p1"], &main, &other, "mode");
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("file::p1"));
+    }
+
+    fn run_with(verdicts: Vec<(&str, PropertyVerdict)>) -> BmcRun {
+        BmcRun {
+            outcome: BmcOutcome::BoundReached { depth_completed: 3 },
+            properties: verdicts
+                .into_iter()
+                .map(|(name, verdict)| PropertyReport {
+                    name: name.to_string(),
+                    verdict,
+                    episodes: 0,
+                    assumption_conflicts: 0,
+                    decisions: 0,
+                    conflicts: 0,
+                    propagations: 0,
+                    retirement_depth: None,
+                    depth_results: Vec::new(),
+                })
+                .collect(),
+            per_depth: Vec::new(),
+            solver_stats: rbmc_solver::SolverStats::new(),
+            workers: Vec::new(),
+            total_time: std::time::Duration::ZERO,
+            proof: None,
+        }
+    }
+
+    #[test]
+    fn proof_check_fails_closed_on_proofs_without_invariant() {
+        let run = run_with(vec![
+            (
+                "inv",
+                PropertyVerdict::Proved {
+                    depth: 2,
+                    invariant_clauses: Some(vec![vec![(0, false)]]),
+                },
+            ),
+            (
+                "kind",
+                PropertyVerdict::Proved {
+                    depth: 3,
+                    invariant_clauses: None,
+                },
+            ),
+            ("open", PropertyVerdict::OpenAt { depth: 3 }),
+        ]);
+        let err = uncertified_proofs("file", &run, ProofMode::Check).expect("gate fires");
+        assert!(err.contains("kind"), "{err}");
+        assert!(!err.contains("inv,") && !err.contains("open"), "{err}");
+        // Only `--proof check` promises certification.
+        assert_eq!(uncertified_proofs("file", &run, ProofMode::Log), None);
+        assert_eq!(uncertified_proofs("file", &run, ProofMode::Off), None);
+        // An invariant-carrying proof passes the gate.
+        let clean = run_with(vec![(
+            "inv",
+            PropertyVerdict::Proved {
+                depth: 2,
+                invariant_clauses: Some(Vec::new()),
+            },
+        )]);
+        assert_eq!(uncertified_proofs("file", &clean, ProofMode::Check), None);
+    }
+
+    #[test]
+    fn summary_counts_checked_and_uncertified_proofs_apart() {
+        let case = |proved: f64, clauses: f64| BenchCase {
+            name: "file::p".into(),
+            strategy: "ic3/sta".into(),
+            wall_s: 0.0,
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
+            completed_depth: 0,
+            verdict_ok: true,
+            extra: vec![
+                ("proved".into(), proved),
+                ("invariant_clauses".into(), clauses),
+            ],
+        };
+        let cases = [
+            case(1.0, 4.0),
+            case(1.0, 0.0),
+            case(1.0, -1.0),
+            case(0.0, -1.0),
+        ];
+        assert_eq!(proof_counts(&cases), (2, 1));
     }
 }

@@ -37,16 +37,12 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use rbmc_circuit::Signal;
-use rbmc_cnf::Lit;
-use rbmc_solver::{CancelFlag, Limits, OrderMode, SolveResult, Solver, SolverOptions, SolverStats};
+use rbmc_solver::{CancelFlag, Limits, OrderMode, SolveResult, SolverOptions, SolverStats};
 
-use crate::certify::{self, EpisodeCertifier};
+use crate::episode::{add_clauses, commit_rank, fresh_episode, EpisodeCtx, RunFold, Session};
 use crate::parallel::{self, ParallelConfig, WorkerReport};
 use crate::preprocess::preprocess_problem;
-use crate::{
-    shtrichman_rank, Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem, Weighting,
-};
+use crate::{Model, Trace, TraceLift, VarRank, VerificationProblem, Weighting};
 use rbmc_circuit::preprocess::PreprocessReport;
 
 /// Which decision-ordering scheme `sat_check` uses (§3.3 plus baselines).
@@ -150,11 +146,12 @@ pub struct BmcOptions {
     /// engine's; every removed node shrinks every frame of the unrolling.
     /// Turn off for differential testing against the raw encoding.
     pub preprocess: bool,
-    /// Prune the session solver's conflict dependency graph at each depth
-    /// boundary ([`Solver::prune_cdg`]), bounding the CDG's growth over a
-    /// deep sweep. On by default; the ablation tests turn it off to measure
-    /// the unpruned growth. Fresh-per-depth solvers discard their CDG with
-    /// the solver and never prune.
+    /// Prune every session solver's conflict dependency graph at each depth
+    /// boundary ([`Solver::prune_cdg`](rbmc_solver::Solver::prune_cdg)),
+    /// bounding the CDG's growth over a deep sweep. On by default; the
+    /// ablation tests turn it off to measure the unpruned growth.
+    /// Fresh-per-depth solvers discard their CDG with the solver and never
+    /// prune.
     pub cdg_prune: bool,
     /// Run the sweep on a worker pool instead of inline — see
     /// [`ParallelConfig`] for the two sharding grains. `None` (the default)
@@ -437,62 +434,6 @@ impl BmcRun {
     }
 }
 
-/// Per-property live state during a run (shared with the parallel drivers).
-pub(crate) struct PropState {
-    pub(crate) name: String,
-    pub(crate) bad: Signal,
-    pub(crate) open: bool,
-    pub(crate) episodes: u64,
-    pub(crate) assumption_conflicts: u64,
-    pub(crate) decisions: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) propagations: u64,
-    pub(crate) completed: Option<usize>,
-    pub(crate) falsified: Option<(usize, Trace)>,
-    pub(crate) depth_results: Vec<SolveResult>,
-}
-
-impl PropState {
-    pub(crate) fn fresh(name: String, bad: Signal) -> PropState {
-        PropState {
-            name,
-            bad,
-            open: true,
-            episodes: 0,
-            assumption_conflicts: 0,
-            decisions: 0,
-            conflicts: 0,
-            propagations: 0,
-            completed: None,
-            falsified: None,
-            depth_results: Vec::new(),
-        }
-    }
-
-    pub(crate) fn into_report(self) -> PropertyReport {
-        let verdict = match (self.falsified, self.completed) {
-            (Some((depth, trace)), _) => PropertyVerdict::Falsified { depth, trace },
-            (None, Some(depth)) => PropertyVerdict::OpenAt { depth },
-            (None, None) => PropertyVerdict::Unknown,
-        };
-        let retirement_depth = match &verdict {
-            PropertyVerdict::Falsified { depth, .. } => Some(*depth),
-            _ => None,
-        };
-        PropertyReport {
-            name: self.name,
-            verdict,
-            episodes: self.episodes,
-            assumption_conflicts: self.assumption_conflicts,
-            decisions: self.decisions,
-            conflicts: self.conflicts,
-            propagations: self.propagations,
-            retirement_depth,
-            depth_results: self.depth_results,
-        }
-    }
-}
-
 /// The `refine_order_bmc` engine (Fig. 5), generalized to property sets.
 ///
 /// Construct it from a single-property [`Model`] ([`BmcEngine::new`] — the
@@ -513,7 +454,6 @@ pub struct BmcEngine {
     pp_report: Option<PreprocessReport>,
     options: BmcOptions,
     rank: VarRank,
-    per_depth: Vec<DepthStats>,
     cancel: Option<CancelFlag>,
 }
 
@@ -523,7 +463,6 @@ impl fmt::Debug for BmcEngine {
             .field("problem", &self.model.name())
             .field("properties", &self.model.problem().num_properties())
             .field("options", &self.options)
-            .field("depths_done", &self.per_depth.len())
             .finish()
     }
 }
@@ -554,7 +493,6 @@ impl BmcEngine {
             pp_report,
             options,
             rank: VarRank::new(options.weighting),
-            per_depth: Vec::new(),
             cancel: None,
         }
     }
@@ -658,251 +596,76 @@ impl BmcEngine {
     }
 
     /// The inline (non-parallel) loop of Fig. 5, in working-model
-    /// coordinates — [`BmcEngine::run_collecting`] lifts its traces.
+    /// coordinates — [`BmcEngine::run_collecting`] lifts its traces. Its
+    /// session call order is a contract (`perfbench` replays it from public
+    /// calls and compares every per-depth counter): frame delta, then one
+    /// session episode per open property with the ranking installed after
+    /// the depth's first activation clause, then the rank update, then the
+    /// depth boundary.
     fn run_sequential(&mut self) -> BmcRun {
         let run_start = Instant::now();
-        let unroller = Unroller::new(&self.model);
-        let mut props: Vec<PropState> = self
-            .model
-            .problem()
-            .properties()
-            .iter()
-            .map(|p| PropState::fresh(p.name().to_string(), p.bad()))
-            .collect();
-        let num_props = props.len();
+        let ctx = EpisodeCtx::new(&self.model, &self.options, self.cancel.as_ref());
+        let unroller = &ctx.unroller;
+        let num_props = self.model.problem().num_properties();
+        let mut fold = RunFold::new(&self.model);
         // The persistent solver of a session run (frames appended per depth).
-        let mut session: Option<Solver> = match self.options.reuse {
-            SolverReuse::Session => Some(Solver::with_options(self.solver_options())),
-            SolverReuse::Fresh => None,
-        };
-        // Proof sink of the session solver (attached before any clause), and
-        // the running aggregate over every solver the run provisions.
-        let mut session_certifier = session
-            .as_mut()
-            .and_then(|s| EpisodeCertifier::attach(self.options.proof, s));
-        let mut proof_acc: Option<crate::ProofSummary> = None;
-        let mut aggregate = SolverStats::new();
-        let mut first_falsified: Option<usize> = None;
-        let mut resource_out: Option<usize> = None;
-        let mut depth_completed = 0usize;
-        'depths: for k in 0..=self.options.max_depth {
+        let mut session =
+            (self.options.reuse == SolverReuse::Session).then(|| Session::new(&self.options, true));
+        for k in 0..=self.options.max_depth {
             let depth_start = Instant::now();
-            let limits = self.depth_limits();
             // gen_cnf_formula(M, P, k): the unroller only ever encodes the
             // one new frame; the session solver consumes exactly that delta
             // once per depth, fresh solvers replay the cached prefix per
-            // episode. sat_check(F, varRank) is one solve episode per open
+            // episode. sat_check(F, varRank) is one episode per open
             // property.
-            if let Some(solver) = session.as_mut() {
-                unroller.with_frame_delta(k, |clauses| {
-                    for clause in clauses {
-                        solver.add_clause(clause.lits());
-                    }
+            if let Some(session) = session.as_mut() {
+                session.load_frames_through(k, |j, solver| {
+                    unroller.with_frame_delta(j, |clauses| add_clauses(solver, clauses));
+                    // Bounded prefix mode: the persistent solver now holds
+                    // this frame for the rest of the run, so the cache copy
+                    // is pure duplication — drop it and keep the cache at
+                    // one frame instead of `max_depth`.
+                    unroller.retire_frames_through(j);
                 });
-                // Bounded prefix mode: the persistent solver now holds this
-                // frame for the rest of the run, so the cache copy is pure
-                // duplication — drop it and keep the cache at one frame
-                // instead of `max_depth`. (Fresh-per-depth runs reload the
-                // whole prefix per episode and never retire.)
-                unroller.retire_frames_through(k);
             }
-            let mut depth = DepthStats {
-                depth: k,
-                result: SolveResult::Unsat,
-                decisions: 0,
-                implications: 0,
-                conflicts: 0,
-                num_vars: unroller.num_vars_at(k),
-                num_clauses: 0,
-                core_vars: 0,
-                switched_to_vsids: false,
-                cdg_nodes: 0,
-                cdg_edges: 0,
-                time: Duration::ZERO,
-            };
-            // The paper's unsatVars: union of the open properties' cores at
-            // this depth, deduplicated before the ranking update.
-            let mut core_union: Vec<rbmc_cnf::Var> = Vec::new();
-            let mut ranking_installed = false;
-            // Indexing instead of iterating: the episode needs simultaneous
-            // `&mut props[p_idx]` mutation and whole-`props` reads while the
-            // session solver stays mutably borrowed.
-            #[allow(clippy::needless_range_loop)]
-            for p_idx in 0..num_props {
-                if !props[p_idx].open {
+            fold.begin_depth(k, unroller.num_vars_at(k));
+            let snapshot = self.rank.snapshot();
+            let mut ranking = Some(snapshot.as_slice());
+            for p in 0..num_props {
+                if !fold.is_open(p) {
                     continue;
                 }
-                let bad = props[p_idx].bad;
-                let mut fresh: Option<Solver> = None;
-                let mut fresh_certifier: Option<EpisodeCertifier> = None;
-                let (solver, result, base) = match session.as_mut() {
-                    Some(solver) => {
-                        let base = solver.stats().clone();
-                        // a_{p,k} → bad_p^k; a_{p,k} is assumed for this
-                        // episode only.
-                        let act =
-                            Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
-                        solver.add_clause(&[!act, unroller.lit_of(bad, k)]);
-                        if !ranking_installed {
-                            self.install_ranking(solver, &unroller, k);
-                            ranking_installed = true;
-                        }
-                        let result = solver.solve_under_limited(&[act], &limits);
-                        (&mut *solver, result, base)
-                    }
-                    None => {
-                        let (provisioned, certifier) = self.fresh_solver(&unroller, k, bad);
-                        fresh_certifier = certifier;
-                        let solver = fresh.insert(provisioned);
-                        let result = solver.solve_limited(&limits);
-                        (&mut *solver, result, SolverStats::new())
-                    }
+                let episode = match session.as_mut() {
+                    Some(session) => session.episode(&ctx, k, p, ranking.take()),
+                    None => fresh_episode(&ctx, k, p, &snapshot, |solver| {
+                        unroller.with_prefix(k, |clauses| add_clauses(solver, clauses));
+                    }),
                 };
-                let stats = solver.stats();
-                let prop = &mut props[p_idx];
-                prop.episodes += 1;
-                prop.decisions += stats.decisions - base.decisions;
-                prop.conflicts += stats.conflicts - base.conflicts;
-                prop.propagations += stats.propagations - base.propagations;
-                prop.depth_results.push(result);
-                depth.decisions += stats.decisions - base.decisions;
-                depth.implications += stats.propagations - base.propagations;
-                depth.conflicts += stats.conflicts - base.conflicts;
-                depth.cdg_nodes += stats.cdg_nodes - base.cdg_nodes;
-                depth.cdg_edges += stats.cdg_edges - base.cdg_edges;
-                depth.num_clauses = solver.num_original_clauses();
-                depth.switched_to_vsids |= stats.switched_to_vsids;
-                match result {
-                    SolveResult::Sat => {
-                        depth.result = SolveResult::Sat;
-                        let assignment = solver.model().expect("model after SAT");
-                        let trace = Trace::from_assignment(&unroller, assignment, k);
-                        debug_assert!(
-                            trace.validate_against(self.model.netlist(), bad).is_ok(),
-                            "solver returned an invalid counterexample for `{}`",
-                            props[p_idx].name
-                        );
-                        props[p_idx].falsified = Some((k, trace));
-                        props[p_idx].open = false;
-                        first_falsified = first_falsified.or(Some(p_idx));
-                        if let Some(solver) = session.as_mut() {
-                            // Retire the activation literal: the property
-                            // leaves the sweep, so its bad-state clause must
-                            // never constrain later episodes.
-                            let act =
-                                Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
-                            solver.add_clause(&[!act]);
-                        }
-                    }
-                    SolveResult::Unsat => {
-                        // This property's share of the paper's unsatVars,
-                        // filtered to the frame-stable model variables (a
-                        // session core may also cite activation literals).
-                        core_union.extend(self.core_model_vars(solver, &unroller, k));
-                        props[p_idx].completed = Some(k);
-                        if let Some(solver) = session.as_mut() {
-                            // Retire this depth's activation literal for
-                            // good: the a_{p,k} → bad_p^k clause is satisfied
-                            // forever, and clause-database reduction reclaims
-                            // everything learned against a_{p,k}.
-                            let act =
-                                Self::activation_lit(&unroller, &self.options, num_props, k, p_idx);
-                            solver.add_clause(&[!act]);
-                            props[p_idx].assumption_conflicts += 1;
-                        }
-                        // Certify the episode's UNSAT verdict against its
-                        // just-recorded final clause.
-                        if let Some(cert) = session_certifier.as_mut().or(fresh_certifier.as_mut())
-                        {
-                            cert.observe_unsat();
-                        }
-                    }
-                    SolveResult::Unknown => {
-                        depth.result = SolveResult::Unknown;
-                        resource_out = Some(k);
-                    }
-                }
-                if let Some(f) = fresh.as_ref() {
-                    aggregate.accumulate(f.stats());
-                }
-                certify::merge_opt(
-                    &mut proof_acc,
-                    fresh_certifier.map(EpisodeCertifier::into_summary),
-                );
-                if resource_out.is_some() {
+                let unknown = episode.result == SolveResult::Unknown;
+                fold.fold(p, k, episode);
+                if unknown {
                     break;
                 }
             }
             // update_ranking(unsatVars, varRank) — the union over this
             // depth's UNSAT episodes.
-            core_union.sort_unstable();
-            core_union.dedup();
-            depth.core_vars = core_union.len();
-            if self.options.strategy.needs_cores() && !core_union.is_empty() {
-                self.rank.update(&core_union, k);
+            let union = fold.end_depth(Some(depth_start));
+            commit_rank(&self.options, &mut self.rank, k, [union.as_slice()]);
+            if let Some(session) = session.as_mut() {
+                session.end_depth();
             }
-            depth.time = depth_start.elapsed();
-            self.per_depth.push(depth);
-            // Depth boundary: the ¬a_{p,k} retirements above have just cut a
-            // batch of learned clauses loose; drop the CDG nodes nothing
-            // live can reach any more (bounds session memory on deep
-            // sweeps). IDs are opaque and cores cite input positions, so
-            // search behaviour and future cores are unchanged.
-            if self.options.cdg_prune {
-                if let Some(solver) = session.as_mut() {
-                    solver.prune_cdg();
-                }
-            }
-            // Depth boundary, `debug-invariants` builds: full structural
-            // audit of the session solver (watches, trail, arena, CDG) and
-            // of the rank table's sparse/dense agreement.
             #[cfg(feature = "debug-invariants")]
-            {
-                if let Some(solver) = session.as_ref() {
-                    solver.audit().expect("solver invariants at depth boundary");
-                    certify::audit_proof_coherence(solver)
-                        .expect("proof-log coherence at depth boundary");
-                }
-                self.rank
-                    .audit()
-                    .expect("rank-table invariants at depth boundary");
-            }
-            if resource_out.is_some() {
-                break 'depths;
-            }
-            depth_completed = k;
-            if props.iter().all(|p| !p.open) {
-                break 'depths;
+            self.rank
+                .audit()
+                .expect("rank-table invariants at depth boundary");
+            if fold.resource_out() || fold.all_closed() {
+                break;
             }
         }
-        if let Some(solver) = session.as_ref() {
-            aggregate = solver.stats().clone();
+        if let Some(session) = session {
+            fold.add_solver(session.finish());
         }
-        certify::merge_opt(
-            &mut proof_acc,
-            session_certifier.map(EpisodeCertifier::into_summary),
-        );
-        aggregate.prefix_peak_clauses = unroller.peak_cached_clauses() as u64;
-        let outcome = match (resource_out, first_falsified) {
-            // A definite counterexample outranks a later budget exhaustion:
-            // the summary keeps its documented meaning (some property fails),
-            // and the per-property reports still record who ran out.
-            (_, Some(p_idx)) => {
-                let (depth, trace) = props[p_idx].falsified.clone().expect("falsified recorded");
-                BmcOutcome::Counterexample { depth, trace }
-            }
-            (Some(at_depth), None) => BmcOutcome::ResourceOut { at_depth },
-            (None, None) => BmcOutcome::BoundReached { depth_completed },
-        };
-        BmcRun {
-            outcome,
-            properties: props.into_iter().map(PropState::into_report).collect(),
-            per_depth: std::mem::take(&mut self.per_depth),
-            solver_stats: aggregate,
-            workers: Vec::new(),
-            total_time: run_start.elapsed(),
-            proof: proof_acc,
-        }
+        fold.finish(unroller.peak_cached_clauses(), Vec::new(), run_start)
     }
 
     /// The engine's run configuration (the parallel drivers read it).
@@ -911,86 +674,9 @@ impl BmcEngine {
     }
 
     /// Mutable access to the accumulated `varRank` (the parallel drivers
-    /// install the commit-order merged table through this).
+    /// commit their rank tables through this).
     pub(crate) fn rank_mut(&mut self) -> &mut VarRank {
         &mut self.rank
-    }
-
-    /// The solver configuration the strategy dictates: `order_mode` and
-    /// `record_cdg` are derived, the rest is taken from
-    /// [`BmcOptions::solver`].
-    fn solver_options(&self) -> SolverOptions {
-        strategy_solver_options(&self.options)
-    }
-
-    /// The activation literal of property `p_idx` at depth `k` in a session
-    /// run. Activation variables live **above** the whole unrolling's
-    /// variable range (`num_vars_at(max_depth)`), so they can never collide
-    /// with the frame-stable model variables of any depth the run will
-    /// reach; each depth owns one consecutive block of `num_props` of them.
-    pub(crate) fn activation_lit(
-        unroller: &Unroller<'_>,
-        options: &BmcOptions,
-        num_props: usize,
-        k: usize,
-        p_idx: usize,
-    ) -> Lit {
-        rbmc_cnf::Var::new(unroller.num_vars_at(options.max_depth) + k * num_props + p_idx)
-            .positive()
-    }
-
-    /// Installs the strategy's ranking for the depth-`k` episodes (the
-    /// paper's per-depth `varRank` refresh; re-seedable on a live solver).
-    fn install_ranking(&self, solver: &mut Solver, unroller: &Unroller<'_>, k: usize) {
-        install_strategy_ranking(
-            self.options.strategy,
-            &self.rank.snapshot(),
-            solver,
-            unroller,
-            k,
-        );
-    }
-
-    /// Builds the paper's per-depth solver (the [`SolverReuse::Fresh`]
-    /// differential path): loads `F_k` from the unroller's cached clause
-    /// prefix plus the depth-`k` bad-state unit of one property — no
-    /// activation literals, no assumptions — then installs the strategy's
-    /// ranking. The proof certifier (attached before any clause) rides
-    /// along when [`BmcOptions::proof`] is on.
-    fn fresh_solver(
-        &self,
-        unroller: &Unroller<'_>,
-        k: usize,
-        bad: Signal,
-    ) -> (Solver, Option<EpisodeCertifier>) {
-        let mut solver = Solver::with_options(self.solver_options());
-        let certifier = EpisodeCertifier::attach(self.options.proof, &mut solver);
-        solver.reserve_vars(unroller.num_vars_at(k));
-        unroller.with_prefix(k, |clauses| {
-            for clause in clauses {
-                solver.add_clause(clause.lits());
-            }
-        });
-        solver.add_clause(&[unroller.lit_of(bad, k)]);
-        self.install_ranking(&mut solver, unroller, k);
-        (solver, certifier)
-    }
-
-    /// The model variables (frame-stable, `< num_vars_at(k)`) of the last
-    /// UNSAT verdict's core. Activation variables are filtered out: they are
-    /// bookkeeping of the session encoding, not part of the paper's
-    /// `unsatVars`.
-    fn core_model_vars(
-        &self,
-        solver: &Solver,
-        unroller: &Unroller<'_>,
-        k: usize,
-    ) -> Vec<rbmc_cnf::Var> {
-        core_model_vars(solver, unroller.num_vars_at(k))
-    }
-
-    fn depth_limits(&self) -> Limits {
-        depth_limits(&self.options, self.cancel.as_ref())
     }
 }
 
@@ -1025,39 +711,6 @@ pub(crate) fn depth_limits(options: &BmcOptions, cancel: Option<&CancelFlag>) ->
         limits = limits.with_cancel(cancel.clone());
     }
     limits
-}
-
-/// Installs the ranking `strategy` dictates for a depth-`k` episode on
-/// `solver`: nothing for Chaff's baseline, the time-axis table for
-/// Shtrichman, and the supplied `varRank` slice for the refined modes. The
-/// sequential engine and the parallel workers share this so a worker's
-/// episode sees exactly the ranking its sequential twin would.
-pub(crate) fn install_strategy_ranking(
-    strategy: OrderingStrategy,
-    rank: &[u64],
-    solver: &mut Solver,
-    unroller: &Unroller<'_>,
-    k: usize,
-) {
-    match strategy {
-        OrderingStrategy::Standard => {}
-        OrderingStrategy::Shtrichman => {
-            solver.set_var_ranking(&shtrichman_rank(unroller, k));
-        }
-        _ => solver.set_var_ranking(rank),
-    }
-}
-
-/// The model variables (frame-stable, `< bound`) of the solver's last UNSAT
-/// core — the paper's `unsatVars`, with session bookkeeping (activation
-/// variables, which live above the unrolling's range) filtered out.
-pub(crate) fn core_model_vars(solver: &Solver, bound: usize) -> Vec<rbmc_cnf::Var> {
-    solver
-        .core_vars()
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|v| v.index() < bound)
-        .collect()
 }
 
 #[cfg(test)]

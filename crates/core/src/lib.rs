@@ -100,6 +100,7 @@ pub mod vcd;
 mod certify;
 mod engine;
 mod engine_trait;
+mod episode;
 mod model;
 mod parallel;
 mod portfolio;

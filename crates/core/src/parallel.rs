@@ -2,7 +2,10 @@
 //! worker pool, then merge the results — `varRank` updates included — in
 //! **commit order** (lowest depth first, then property order), so a
 //! parallel run is deterministic and reproduces the sequential engine's
-//! verdicts exactly.
+//! verdicts exactly. Every grain is an ordering policy over the one BMC
+//! solve episode of the `episode` module (the sequential loop's, too): the
+//! grains differ in which instance a worker solves next and when cores
+//! reach the rank table, never in how an instance is solved.
 //!
 //! Two sharding grains, one per axis the sweep is independent along:
 //!
@@ -14,7 +17,7 @@
 //!   so results are identical for every `jobs` value. A single-property
 //!   problem degenerates to exactly the sequential
 //!   [`SolverReuse::Session`](crate::SolverReuse) run — bit-identical
-//!   verdicts, cores, and rank table.
+//!   verdicts, cores, rank table and per-depth search counters.
 //! - [`ShardMode::ByDepth`] — the paper's **fresh solver per (property,
 //!   depth)** instances dispatched across workers. The refined strategies
 //!   chain each depth's ranking to the previous depths' cores, so instances
@@ -66,16 +69,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rbmc_cnf::Var;
-use rbmc_solver::{CancelFlag, SolveResult, Solver, SolverStats};
+use rbmc_solver::{CancelFlag, SolveResult};
 
-use crate::certify::EpisodeCertifier;
-use crate::engine::{
-    core_model_vars, depth_limits, install_strategy_ranking, strategy_solver_options, BmcEngine,
-    BmcOptions, BmcOutcome, BmcRun, DepthStats, PropState,
+use crate::engine::{BmcEngine, BmcOptions, BmcRun};
+use crate::episode::{
+    add_clauses, commit_rank, fresh_episode, Episode, EpisodeCtx, RunFold, Session, SessionSummary,
 };
 use crate::unroll::SharedPrefix;
-use crate::{Model, Trace, Unroller, VarRank};
+use crate::{Model, Unroller, VarRank};
 
 /// Which independence axis a parallel run shards along.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -190,11 +191,14 @@ impl ParallelConfig {
 pub struct WorkerReport {
     /// Worker index (`0..jobs`).
     pub worker: usize,
-    /// Work items claimed: property groups under
+    /// Work items claimed: whole property sessions under
     /// [`ShardMode::ByProperty`], solve instances under
-    /// [`ShardMode::ByDepth`].
+    /// [`ShardMode::ByDepth`], owned depths under [`ShardMode::Striped`],
+    /// and session pops (one depth advance each, stolen or not) under
+    /// [`ShardMode::WorkStealing`].
     pub items: u64,
-    /// Solve episodes run by this worker.
+    /// Solve episodes run by this worker, committed or not (a relaxed or
+    /// lattice worker may solve past the run's eventual cut).
     pub episodes: u64,
     /// Decisions over this worker's episodes.
     pub decisions: u64,
@@ -205,7 +209,8 @@ pub struct WorkerReport {
     /// Property sessions stolen from another worker's deque
     /// ([`ShardMode::WorkStealing`] only; 0 elsewhere).
     pub steals: u64,
-    /// Busy wall-clock time of this worker (summed over its items).
+    /// Wall-clock time of this worker: summed over its items under the
+    /// deterministic grains, its whole lifetime under the relaxed ones.
     pub time: Duration,
 }
 
@@ -217,106 +222,6 @@ pub(crate) fn run_parallel(engine: &mut BmcEngine, config: ParallelConfig) -> Bm
         ShardMode::ByDepth => run_by_depth(engine, jobs),
         ShardMode::Striped => crate::relaxed::run_striped(engine, jobs),
         ShardMode::WorkStealing => crate::relaxed::run_work_stealing(engine, jobs),
-    }
-}
-
-/// Everything one solve episode produced, buffered for commit-order merge.
-pub(crate) struct Episode {
-    pub(crate) result: SolveResult,
-    pub(crate) decisions: u64,
-    pub(crate) implications: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) cdg_nodes: u64,
-    pub(crate) cdg_edges: u64,
-    pub(crate) num_clauses: usize,
-    pub(crate) switched: bool,
-    /// The frame-stable core variables of an UNSAT episode (already sorted
-    /// and deduplicated), empty otherwise.
-    pub(crate) core: Vec<Var>,
-    /// The validated counterexample of a SAT episode.
-    pub(crate) trace: Option<Trace>,
-    /// Full stats of the fresh solver that ran this episode (ByDepth only;
-    /// what the sequential fresh engine accumulates per episode).
-    pub(crate) solver_stats: Option<SolverStats>,
-    /// Proof-logging summary of a fresh episode's solver (`None` for
-    /// session episodes, whose summary lives on the group).
-    pub(crate) proof: Option<crate::ProofSummary>,
-    pub(crate) time: Duration,
-}
-
-impl Episode {
-    /// A zero-cost placeholder Unknown episode. The relaxed commit walk
-    /// synthesizes one where a cancelled run left a gap a still-open
-    /// property needed, so the truncation machinery sees the same
-    /// `Unknown`-at-the-cut shape a budget exhaustion produces.
-    pub(crate) fn synthetic_unknown() -> Episode {
-        Episode {
-            result: SolveResult::Unknown,
-            decisions: 0,
-            implications: 0,
-            conflicts: 0,
-            cdg_nodes: 0,
-            cdg_edges: 0,
-            num_clauses: 0,
-            switched: false,
-            core: Vec::new(),
-            trace: None,
-            solver_stats: None,
-            proof: None,
-            time: Duration::ZERO,
-        }
-    }
-}
-
-/// A per-property session's complete sweep (ByProperty worker output).
-pub(crate) struct GroupOutcome {
-    pub(crate) prop: PropState,
-    /// One entry per attempted depth, in depth order.
-    pub(crate) episodes: Vec<Episode>,
-    /// The session solver's final counters.
-    pub(crate) stats: SolverStats,
-    /// The session solver's proof-logging summary (`None` with proof off).
-    pub(crate) proof: Option<crate::ProofSummary>,
-}
-
-impl GroupOutcome {
-    /// An empty group for property `p_idx` of `model` (no episodes yet).
-    pub(crate) fn fresh(model: &Model, p_idx: usize) -> GroupOutcome {
-        let property = model.problem().property(p_idx);
-        GroupOutcome {
-            prop: PropState::fresh(property.name().to_string(), property.bad()),
-            episodes: Vec::new(),
-            stats: SolverStats::new(),
-            proof: None,
-        }
-    }
-}
-
-/// One work item's contribution to its worker's counters.
-struct WorkerShare {
-    episodes: u64,
-    decisions: u64,
-    conflicts: u64,
-    propagations: u64,
-}
-
-impl WorkerShare {
-    fn of_episode(episode: &Episode) -> WorkerShare {
-        WorkerShare {
-            episodes: 1,
-            decisions: episode.decisions,
-            conflicts: episode.conflicts,
-            propagations: episode.implications,
-        }
-    }
-
-    fn of_group(prop: &PropState) -> WorkerShare {
-        WorkerShare {
-            episodes: prop.episodes,
-            decisions: prop.decisions,
-            conflicts: prop.conflicts,
-            propagations: prop.propagations,
-        }
     }
 }
 
@@ -361,16 +266,16 @@ pub fn striped_map<R: Send>(
 }
 
 /// [`striped_map`] with the per-worker accounting the dispatch modes need:
-/// `f` may return `None` to skip an item (its slot stays empty and no
-/// `items` credit is given), and each item's counters and wall time
-/// accumulate into its worker's [`WorkerReport`]. `workers` is grown to the
-/// number of threads actually spawned — so [`BmcRun::workers`] reports real
+/// `f(index, share)` charges its episodes to `share` and may return `None`
+/// to skip an item (its slot stays empty and no `items` credit is given);
+/// wall time accumulates per worker. `workers` is grown to the number of
+/// threads actually spawned — so [`BmcRun::workers`] reports real
 /// concurrency, not the requested budget.
 fn striped_dispatch<R: Send>(
     len: usize,
     budget: usize,
     workers: &mut Vec<WorkerReport>,
-    f: impl Fn(usize) -> Option<(R, WorkerShare)> + Sync,
+    f: impl Fn(usize, &mut WorkerReport) -> Option<R> + Sync,
 ) -> Vec<Option<R>> {
     let spawn = budget.min(len).max(1);
     while workers.len() < spawn {
@@ -379,27 +284,32 @@ fn striped_dispatch<R: Send>(
             ..WorkerReport::default()
         });
     }
-    let shares: Vec<Mutex<WorkerReport>> = (0..spawn)
-        .map(|_| Mutex::new(WorkerReport::default()))
-        .collect();
+    // One share per thread, only ever locked by its own thread.
+    let shares: Vec<Mutex<WorkerReport>> = (0..spawn).map(|_| Mutex::default()).collect();
     let results = striped_map(len, spawn, |w, i| {
         let start = Instant::now();
-        let out = f(i);
         let mut share = shares[w].lock().expect("share lock");
+        let out = f(i, &mut share);
+        share.items += u64::from(out.is_some());
         share.time += start.elapsed();
-        if let Some((_, counters)) = &out {
-            share.items += 1;
-            share.episodes += counters.episodes;
-            share.decisions += counters.decisions;
-            share.conflicts += counters.conflicts;
-            share.propagations += counters.propagations;
-        }
-        out.map(|(result, _)| result)
+        out
     });
-    for (w, share) in shares.into_iter().enumerate() {
-        absorb_worker_share(&mut workers[w], &share.into_inner().expect("share lock"));
+    for (report, share) in workers.iter_mut().zip(shares) {
+        let share = share.into_inner().expect("share lock");
+        report.items += share.items;
+        report.episodes += share.episodes;
+        report.decisions += share.decisions;
+        report.conflicts += share.conflicts;
+        report.propagations += share.propagations;
+        report.time += share.time;
     }
     results
+}
+
+/// Whether a property's committed episode list still needs episodes (its
+/// last episode, if any, was not SAT).
+fn is_open(episodes: &[Episode]) -> bool {
+    episodes.last().is_none_or(|e| e.result != SolveResult::Sat)
 }
 
 // ---------------------------------------------------------------------------
@@ -414,193 +324,94 @@ fn run_by_property(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
     let num_props = model.problem().num_properties();
     let unroller = Unroller::new(&model);
 
-    let (groups, workers) = unroller.with_shared_prefix(options.max_depth, |prefix| {
+    let (results, workers) = unroller.with_shared_prefix(options.max_depth, |prefix| {
         let mut workers = Vec::new();
-        let results = striped_dispatch(num_props, jobs, &mut workers, |p| {
-            let group = run_property_session(&model, &options, &prefix, cancel.as_ref(), p);
-            let share = WorkerShare::of_group(&group.prop);
-            Some((group, share))
+        let results = striped_dispatch(num_props, jobs, &mut workers, |p, share| {
+            let (episodes, session) =
+                run_property_session(&model, &options, &prefix, cancel.as_ref(), p);
+            for episode in &episodes {
+                episode.charge(share);
+            }
+            Some((episodes, session))
         });
-        let groups: Vec<GroupOutcome> = results
-            .into_iter()
-            .map(|group| group.expect("every property was dispatched"))
-            .collect();
-        (groups, workers)
+        (results, workers)
     });
-
-    cut_and_merge(engine, &options, &unroller, groups, workers, run_start)
+    let (mut groups, sessions): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .map(|r| r.expect("every property was dispatched"))
+        .unzip();
+    cut_at_first_unknown(&mut groups);
+    // The commit-order rank merge: each depth's core union, lowest depth
+    // first — exactly the sequential engine's update sequence.
+    let depths = groups.iter().map(Vec::len).max().unwrap_or(0);
+    for k in 0..depths {
+        commit_rank(
+            &options,
+            engine.rank_mut(),
+            k,
+            groups
+                .iter()
+                .filter_map(|g| g.get(k))
+                .map(|e| e.core.as_slice()),
+        );
+    }
+    merge_committed(&unroller, groups, sessions, workers, run_start)
 }
 
-/// Emulates the sequential control flow on per-property session results:
-/// the earliest (depth, property) budget exhaustion stops the whole run, so
-/// episodes past that commit point are discarded, then the committed
-/// remainder merges into a [`BmcRun`]. Shared by [`ShardMode::ByProperty`]
-/// and the relaxed grains (whose group shape is identical once their
-/// episodes are reassembled per property).
-pub(crate) fn cut_and_merge(
-    engine: &mut BmcEngine,
-    options: &BmcOptions,
-    unroller: &Unroller<'_>,
-    mut groups: Vec<GroupOutcome>,
-    workers: Vec<WorkerReport>,
-    run_start: Instant,
-) -> BmcRun {
+/// Emulates the sequential control flow on per-property episode lists: the
+/// earliest (depth, property) budget exhaustion stops the whole run, so
+/// episodes past that commit point are discarded. Shared by
+/// [`ShardMode::ByProperty`] and the relaxed grains (whose episodes are
+/// reassembled per property into the same shape).
+pub(crate) fn cut_at_first_unknown(groups: &mut [Vec<Episode>]) {
     let cut = groups
         .iter()
         .enumerate()
         .filter_map(|(p, g)| {
-            g.episodes
-                .iter()
+            g.iter()
                 .position(|e| e.result == SolveResult::Unknown)
                 .map(|k| (k, p))
         })
         .min();
     if let Some((cut_depth, cut_prop)) = cut {
         for (p, group) in groups.iter_mut().enumerate() {
-            let keep = if p <= cut_prop {
+            group.truncate(if p <= cut_prop {
                 cut_depth + 1
             } else {
                 cut_depth
-            };
-            truncate_group(group, keep);
+            });
         }
     }
-
-    merge_committed(engine, options, unroller, groups, workers, run_start)
 }
 
-/// Trims a per-property session result to its first `keep` episodes,
-/// recomputing the derived per-property counters (used when a budget
-/// exhaustion elsewhere stops the run before this property's later depths
-/// would have been reached sequentially).
-pub(crate) fn truncate_group(group: &mut GroupOutcome, keep: usize) {
-    if group.episodes.len() <= keep {
-        return;
-    }
-    group.episodes.truncate(keep);
-    group.prop.depth_results.truncate(keep);
-    group.prop.episodes = keep as u64;
-    group.prop.decisions = group.episodes.iter().map(|e| e.decisions).sum();
-    group.prop.conflicts = group.episodes.iter().map(|e| e.conflicts).sum();
-    group.prop.propagations = group.episodes.iter().map(|e| e.implications).sum();
-    group.prop.assumption_conflicts = group
-        .episodes
-        .iter()
-        .filter(|e| e.result == SolveResult::Unsat)
-        .count() as u64;
-    group.prop.completed = group
-        .episodes
-        .iter()
-        .rposition(|e| e.result == SolveResult::Unsat);
-    if matches!(group.prop.falsified, Some((d, _)) if d >= keep) {
-        group.prop.falsified = None;
-        group.prop.open = true;
-    }
-}
-
-/// One property's full sweep on its own session solver — the parallel twin
-/// of the sequential [`SolverReuse::Session`](crate::SolverReuse) loop,
-/// specialized to a single property (same episode structure, same
-/// activation-literal scheme, same per-depth rank refresh from its own
-/// cores, same depth-boundary CDG pruning).
+/// One property's full sweep on its own dedicated session — the
+/// sequential session loop specialized to a single property (same
+/// episode, same per-depth rank refresh from its own cores, same depth
+/// boundary). A single-property problem therefore reproduces the
+/// sequential engine exactly, counters included.
 fn run_property_session(
     model: &Model,
     options: &BmcOptions,
     prefix: &SharedPrefix<'_>,
     cancel: Option<&CancelFlag>,
-    p_idx: usize,
-) -> GroupOutcome {
-    let property = model.problem().property(p_idx);
-    // Thread-local unroller for the pure index arithmetic; clauses come from
-    // the shared pre-encoded prefix.
-    let unroller = Unroller::new(model);
-    let mut prop = PropState::fresh(property.name().to_string(), property.bad());
+    p: usize,
+) -> (Vec<Episode>, SessionSummary) {
+    let ctx = EpisodeCtx::new(model, options, cancel);
+    let mut session = Session::new(options, false);
     let mut rank = VarRank::new(options.weighting);
-    let mut solver = Solver::with_options(strategy_solver_options(options));
-    let mut certifier = EpisodeCertifier::attach(options.proof, &mut solver);
-    let limits = depth_limits(options, cancel);
     let mut episodes = Vec::new();
-
     for k in 0..=options.max_depth {
-        let depth_start = Instant::now();
-        let base = solver.stats().clone();
-        for clause in prefix.frame_delta(k) {
-            solver.add_clause(clause.lits());
-        }
-        let act = BmcEngine::activation_lit(&unroller, options, 1, k, 0);
-        solver.add_clause(&[!act, unroller.lit_of(prop.bad, k)]);
-        install_strategy_ranking(
-            options.strategy,
-            &rank.snapshot(),
-            &mut solver,
-            &unroller,
-            k,
-        );
-        let result = solver.solve_under_limited(&[act], &limits);
-
-        let stats = solver.stats();
-        prop.episodes += 1;
-        prop.decisions += stats.decisions - base.decisions;
-        prop.conflicts += stats.conflicts - base.conflicts;
-        prop.propagations += stats.propagations - base.propagations;
-        prop.depth_results.push(result);
-        let mut episode = Episode {
-            result,
-            decisions: stats.decisions - base.decisions,
-            implications: stats.propagations - base.propagations,
-            conflicts: stats.conflicts - base.conflicts,
-            cdg_nodes: stats.cdg_nodes - base.cdg_nodes,
-            cdg_edges: stats.cdg_edges - base.cdg_edges,
-            num_clauses: solver.num_original_clauses(),
-            switched: stats.switched_to_vsids,
-            core: Vec::new(),
-            trace: None,
-            solver_stats: None,
-            proof: None,
-            time: Duration::ZERO,
-        };
-        match result {
-            SolveResult::Sat => {
-                let assignment = solver.model().expect("model after SAT");
-                let trace = Trace::from_assignment(&unroller, assignment, k);
-                debug_assert!(
-                    trace.validate_against(model.netlist(), prop.bad).is_ok(),
-                    "solver returned an invalid counterexample for `{}`",
-                    prop.name
-                );
-                prop.falsified = Some((k, trace));
-                prop.open = false;
-                solver.add_clause(&[!act]);
-            }
-            SolveResult::Unsat => {
-                episode.core = core_model_vars(&solver, unroller.num_vars_at(k));
-                prop.completed = Some(k);
-                solver.add_clause(&[!act]);
-                prop.assumption_conflicts += 1;
-                if options.strategy.needs_cores() && !episode.core.is_empty() {
-                    rank.update(&episode.core, k);
-                }
-                if let Some(cert) = certifier.as_mut() {
-                    cert.observe_unsat();
-                }
-            }
-            SolveResult::Unknown => {}
-        }
-        episode.time = depth_start.elapsed();
+        session.load_frames_through(k, |j, solver| add_clauses(solver, prefix.frame_delta(j)));
+        let episode = session.episode(&ctx, k, p, Some(&rank.snapshot()));
+        commit_rank(options, &mut rank, k, [episode.core.as_slice()]);
+        session.end_depth();
+        let result = episode.result;
         episodes.push(episode);
-        if options.cdg_prune {
-            solver.prune_cdg();
-        }
-        if result == SolveResult::Unknown || !prop.open {
+        if result != SolveResult::Unsat {
             break;
         }
     }
-    GroupOutcome {
-        prop,
-        episodes,
-        stats: solver.stats().clone(),
-        proof: certifier.map(EpisodeCertifier::into_summary),
-    }
+    (episodes, session.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -613,166 +424,72 @@ fn run_by_depth(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
     let cancel = engine.cancel_flag().cloned();
     let model = engine.working_model().clone();
     let unroller = Unroller::new(&model);
-    let bads: Vec<_> = model
-        .problem()
-        .properties()
-        .iter()
-        .map(super::problem::Property::bad)
-        .collect();
-
     let mut rank = engine.rank().clone();
     // Grown by the dispatch helper to the concurrency actually reached.
     let mut workers: Vec<WorkerReport> = Vec::new();
 
     let groups = unroller.with_shared_prefix(options.max_depth, |prefix| {
+        // The same fresh episode the sequential `SolverReuse::Fresh` loop
+        // runs (same prefix, bad-state unit, ranking and limits — an
+        // identical deterministic solver, so an identical result).
+        let solve = |p: usize, k: usize, rank: &[u64]| {
+            let ctx = EpisodeCtx::new(&model, &options, cancel.as_ref());
+            fresh_episode(&ctx, k, p, rank, |solver| {
+                add_clauses(solver, prefix.prefix(k));
+            })
+        };
         if options.strategy.needs_cores() {
             // The refined strategies chain depth k's ranking to the cores of
             // depths < k: dispatch one depth at a time, all open properties
             // concurrently, each against the same rank snapshot the
             // sequential fresh engine would install.
-            run_depth_wavefront(
-                &model,
-                &options,
-                &prefix,
-                cancel.as_ref(),
-                &bads,
-                &mut rank,
-                &mut workers,
-                jobs,
-            )
+            run_depth_wavefront(&model, &options, solve, &mut rank, &mut workers, jobs)
         } else {
             // No rank chaining: the whole (depth × property) lattice is
             // independent. Dispatch everything; commit order sorts it out.
-            run_depth_lattice(
-                &model,
-                &options,
-                &prefix,
-                cancel.as_ref(),
-                &bads,
-                &mut workers,
-                jobs,
-            )
+            run_depth_lattice(&model, &options, solve, &mut workers, jobs)
         }
     });
     *engine.rank_mut() = rank;
-
-    merge_committed(engine, &options, &unroller, groups, workers, run_start)
-}
-
-/// One fresh-per-depth instance: the parallel twin of the sequential
-/// [`SolverReuse::Fresh`](crate::SolverReuse) episode (same prefix load
-/// order, same bad-state unit, same ranking, same limits — an identical
-/// deterministic solver, so an identical result).
-fn run_fresh_episode(
-    model: &Model,
-    options: &BmcOptions,
-    prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
-    rank: &[u64],
-    bad: rbmc_circuit::Signal,
-    k: usize,
-) -> Episode {
-    let start = Instant::now();
-    let unroller = Unroller::new(model);
-    let mut solver = Solver::with_options(strategy_solver_options(options));
-    let mut certifier = EpisodeCertifier::attach(options.proof, &mut solver);
-    solver.reserve_vars(unroller.num_vars_at(k));
-    for clause in prefix.prefix(k) {
-        solver.add_clause(clause.lits());
-    }
-    solver.add_clause(&[unroller.lit_of(bad, k)]);
-    install_strategy_ranking(options.strategy, rank, &mut solver, &unroller, k);
-    let result = solver.solve_limited(&depth_limits(options, cancel));
-    let stats = solver.stats().clone();
-    let mut episode = Episode {
-        result,
-        decisions: stats.decisions,
-        implications: stats.propagations,
-        conflicts: stats.conflicts,
-        cdg_nodes: stats.cdg_nodes,
-        cdg_edges: stats.cdg_edges,
-        num_clauses: solver.num_original_clauses(),
-        switched: stats.switched_to_vsids,
-        core: Vec::new(),
-        trace: None,
-        solver_stats: Some(stats),
-        proof: None,
-        time: Duration::ZERO,
-    };
-    match result {
-        SolveResult::Sat => {
-            let assignment = solver.model().expect("model after SAT");
-            episode.trace = Some(Trace::from_assignment(&unroller, assignment, k));
-        }
-        SolveResult::Unsat => {
-            episode.core = core_model_vars(&solver, unroller.num_vars_at(k));
-            if let Some(cert) = certifier.as_mut() {
-                cert.observe_unsat();
-            }
-        }
-        SolveResult::Unknown => {}
-    }
-    episode.proof = certifier.map(EpisodeCertifier::into_summary);
-    episode.time = start.elapsed();
-    episode
+    merge_committed(&unroller, groups, Vec::new(), workers, run_start)
 }
 
 /// Depth-synchronized dispatch for the core-chained strategies: solve all
 /// open properties of each depth concurrently, then commit their cores (in
 /// property order) into the rank table before the next depth launches.
-#[allow(clippy::too_many_arguments)]
 fn run_depth_wavefront(
     model: &Model,
     options: &BmcOptions,
-    prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
-    bads: &[rbmc_circuit::Signal],
+    solve: impl Fn(usize, usize, &[u64]) -> Episode + Sync,
     rank: &mut VarRank,
     workers: &mut Vec<WorkerReport>,
     jobs: usize,
-) -> Vec<GroupOutcome> {
-    let num_props = bads.len();
-    let mut groups: Vec<GroupOutcome> = (0..num_props)
-        .map(|p| GroupOutcome {
-            prop: PropState::fresh(model.problem().property(p).name().to_string(), bads[p]),
-            episodes: Vec::new(),
-            stats: SolverStats::new(),
-            proof: None,
-        })
+) -> Vec<Vec<Episode>> {
+    let mut groups: Vec<Vec<Episode>> = (0..model.problem().num_properties())
+        .map(|_| Vec::new())
         .collect();
-
     for k in 0..=options.max_depth {
-        let open: Vec<usize> = (0..num_props).filter(|&p| groups[p].prop.open).collect();
+        let open: Vec<usize> = (0..groups.len()).filter(|&p| is_open(&groups[p])).collect();
         if open.is_empty() {
             break;
         }
         let rank_snapshot = rank.snapshot();
-        let mut episodes = striped_dispatch(open.len(), jobs, workers, |i| {
-            let episode = run_fresh_episode(
-                model,
-                options,
-                prefix,
-                cancel,
-                &rank_snapshot,
-                bads[open[i]],
-                k,
-            );
-            let share = WorkerShare::of_episode(&episode);
-            Some((episode, share))
+        let episodes = striped_dispatch(open.len(), jobs, workers, |i, share| {
+            let episode = solve(open[i], k, &rank_snapshot);
+            episode.charge(share);
+            Some(episode)
         });
-        // Commit this depth in property order — exactly the sequential
-        // within-depth walk, including the stop-at-first-Unknown rule.
-        let mut stop = false;
-        for (i, &p) in open.iter().enumerate() {
-            let episode = episodes[i].take().expect("episode solved");
-            let unknown = episode.result == SolveResult::Unknown;
-            commit_episode(&mut groups[p], episode, k);
-            if unknown {
-                stop = true;
-                break;
-            }
-        }
-        commit_depth_rank(options, rank, &groups, k);
+        let mut episodes = episodes.into_iter().map(|e| e.expect("episode solved"));
+        let stop = commit_depth(&mut groups, k, |_| episodes.next().expect("open property"));
+        commit_rank(
+            options,
+            rank,
+            k,
+            groups
+                .iter()
+                .filter_map(|g| g.get(k))
+                .map(|e| e.core.as_slice()),
+        );
         if stop {
             break;
         }
@@ -789,239 +506,114 @@ fn run_depth_wavefront(
 fn run_depth_lattice(
     model: &Model,
     options: &BmcOptions,
-    prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
-    bads: &[rbmc_circuit::Signal],
+    solve: impl Fn(usize, usize, &[u64]) -> Episode + Sync,
     workers: &mut Vec<WorkerReport>,
     jobs: usize,
-) -> Vec<GroupOutcome> {
-    let num_props = bads.len();
+) -> Vec<Vec<Episode>> {
+    let num_props = model.problem().num_properties();
     let num_depths = options.max_depth + 1;
-    let total = num_depths * num_props;
     let sat_seen: Vec<AtomicUsize> = (0..num_props)
         .map(|_| AtomicUsize::new(usize::MAX))
         .collect();
-    let mut episodes = striped_dispatch(total, jobs, workers, |idx| {
+    let mut episodes = striped_dispatch(num_depths * num_props, jobs, workers, |idx, share| {
         let (k, p) = (idx / num_props, idx % num_props);
         // Skip instances provably beyond the property's retirement (a
         // shallower SAT is already known).
         if k > sat_seen[p].load(Ordering::Relaxed) {
             return None;
         }
-        let episode = run_fresh_episode(model, options, prefix, cancel, &[], bads[p], k);
+        let episode = solve(p, k, &[]);
         if episode.result == SolveResult::Sat {
             sat_seen[p].fetch_min(k, Ordering::Relaxed);
         }
-        let share = WorkerShare::of_episode(&episode);
-        Some((episode, share))
+        episode.charge(share);
+        Some(episode)
     });
 
     // Commit in (depth, property) order, reproducing the sequential loop's
     // retirement and stop rules; uncommitted episodes are speculative waste.
-    let mut groups: Vec<GroupOutcome> = (0..num_props)
-        .map(|p| GroupOutcome {
-            prop: PropState::fresh(model.problem().property(p).name().to_string(), bads[p]),
-            episodes: Vec::new(),
-            stats: SolverStats::new(),
-            proof: None,
-        })
-        .collect();
-    'depths: for k in 0..num_depths {
-        if groups.iter().all(|g| !g.prop.open) {
+    let mut groups: Vec<Vec<Episode>> = (0..num_props).map(|_| Vec::new()).collect();
+    for k in 0..num_depths {
+        if !groups.iter().any(|g| is_open(g)) {
             break;
         }
-        for p in 0..num_props {
-            if !groups[p].prop.open {
-                continue;
-            }
-            let episode = episodes[k * num_props + p]
+        let stop = commit_depth(&mut groups, k, |p| {
+            episodes[k * num_props + p]
                 .take()
-                .expect("open property's instance was dispatched");
-            let unknown = episode.result == SolveResult::Unknown;
-            commit_episode(&mut groups[p], episode, k);
-            if unknown {
-                break 'depths;
-            }
+                .expect("open property's instance was dispatched")
+        });
+        if stop {
+            break;
         }
     }
     groups
 }
 
-fn absorb_worker_share(report: &mut WorkerReport, share: &WorkerReport) {
-    report.items += share.items;
-    report.episodes += share.episodes;
-    report.decisions += share.decisions;
-    report.conflicts += share.conflicts;
-    report.propagations += share.propagations;
-    report.steals += share.steals;
-    report.time += share.time;
-}
-
-/// Folds one committed fresh episode into its property's running state
-/// (mirrors the sequential fresh path's per-episode bookkeeping).
-pub(crate) fn commit_episode(group: &mut GroupOutcome, mut episode: Episode, k: usize) {
-    let prop = &mut group.prop;
-    prop.episodes += 1;
-    prop.decisions += episode.decisions;
-    prop.conflicts += episode.conflicts;
-    prop.propagations += episode.implications;
-    prop.depth_results.push(episode.result);
-    match episode.result {
-        SolveResult::Sat => {
-            prop.falsified = Some((
-                k,
-                episode.trace.take().expect("SAT episode carries a trace"),
-            ));
-            prop.open = false;
+/// Commits depth `k` of every open property in property order — the
+/// sequential within-depth walk, including its stop-at-first-Unknown rule.
+/// `take(p)` yields property `p`'s depth-`k` episode. Returns whether the
+/// run stops at this depth.
+fn commit_depth(
+    groups: &mut [Vec<Episode>],
+    k: usize,
+    mut take: impl FnMut(usize) -> Episode,
+) -> bool {
+    for (p, group) in groups.iter_mut().enumerate() {
+        if !is_open(group) {
+            continue;
         }
-        SolveResult::Unsat => {
-            prop.completed = Some(k);
+        debug_assert_eq!(group.len(), k, "commits advance one depth at a time");
+        let episode = take(p);
+        let unknown = episode.result == SolveResult::Unknown;
+        group.push(episode);
+        if unknown {
+            return true;
         }
-        SolveResult::Unknown => {}
     }
-    if let Some(stats) = &episode.solver_stats {
-        group.stats.accumulate(stats);
-    }
-    crate::certify::merge_opt(&mut group.proof, episode.proof.take());
-    group.episodes.push(episode);
-}
-
-/// The commit-order `varRank` update of one depth: the union of the open
-/// properties' cores at that depth, deduplicated, exactly as the sequential
-/// engine's `update_ranking` consumes it.
-fn commit_depth_rank(options: &BmcOptions, rank: &mut VarRank, groups: &[GroupOutcome], k: usize) {
-    if !options.strategy.needs_cores() {
-        return;
-    }
-    rank.update_union(
-        groups
-            .iter()
-            .filter_map(|g| g.episodes.get(k).map(|e| e.core.as_slice())),
-        k,
-    );
+    false
 }
 
 // ---------------------------------------------------------------------------
 // Merge: committed per-property results -> one BmcRun.
 // ---------------------------------------------------------------------------
 
-/// Merges the committed per-property results into a [`BmcRun`], replaying
-/// the sequential engine's aggregation: per-depth stats summed over that
-/// depth's episodes, the commit-order rank merge for property-sharded runs,
-/// and the sequential outcome precedence (shallowest counterexample first,
-/// then budget exhaustion, then bound reached).
+/// Folds the committed per-property episode lists into a [`BmcRun`] in
+/// commit order — depth by depth, property order within a depth, as the
+/// sequential loop folds them — together with the runs' finished session
+/// solvers. Rank commits are the scheduler's, not the merge's.
 pub(crate) fn merge_committed(
-    engine: &mut BmcEngine,
-    options: &BmcOptions,
     unroller: &Unroller<'_>,
-    groups: Vec<GroupOutcome>,
+    groups: Vec<Vec<Episode>>,
+    sessions: Vec<SessionSummary>,
     workers: Vec<WorkerReport>,
     run_start: Instant,
 ) -> BmcRun {
-    let max_attempted = groups.iter().map(|g| g.episodes.len()).max().unwrap_or(0);
-    let mut per_depth = Vec::with_capacity(max_attempted);
-    let mut resource_out: Option<usize> = None;
-    let mut depth_completed = 0usize;
-    let by_property = matches!(
-        options.parallel.map(|c| c.shard),
-        Some(ShardMode::ByProperty)
-    );
-    for k in 0..max_attempted {
-        let mut depth = DepthStats {
-            depth: k,
-            result: SolveResult::Unsat,
-            decisions: 0,
-            implications: 0,
-            conflicts: 0,
-            num_vars: unroller.num_vars_at(k),
-            num_clauses: 0,
-            core_vars: 0,
-            switched_to_vsids: false,
-            cdg_nodes: 0,
-            cdg_edges: 0,
-            time: Duration::ZERO,
-        };
-        let mut core_union: Vec<Var> = Vec::new();
-        for group in &groups {
-            let Some(episode) = group.episodes.get(k) else {
-                continue;
-            };
-            depth.decisions += episode.decisions;
-            depth.implications += episode.implications;
-            depth.conflicts += episode.conflicts;
-            depth.cdg_nodes += episode.cdg_nodes;
-            depth.cdg_edges += episode.cdg_edges;
-            depth.num_clauses = depth.num_clauses.max(episode.num_clauses);
-            depth.switched_to_vsids |= episode.switched;
-            depth.time += episode.time;
-            match episode.result {
-                SolveResult::Sat => depth.result = SolveResult::Sat,
-                SolveResult::Unsat => core_union.extend(episode.core.iter().copied()),
-                SolveResult::Unknown => {
-                    depth.result = SolveResult::Unknown;
-                    resource_out = Some(k);
-                }
+    let mut fold = RunFold::new(unroller.model());
+    let depths = groups.iter().map(Vec::len).max().unwrap_or(0);
+    let mut columns: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
+    for k in 0..depths {
+        fold.begin_depth(k, unroller.num_vars_at(k));
+        for (p, column) in columns.iter_mut().enumerate() {
+            if let Some(episode) = column.next() {
+                fold.fold(p, k, episode);
             }
         }
-        core_union.sort_unstable();
-        core_union.dedup();
-        depth.core_vars = core_union.len();
-        // ByDepth already committed the rank per wavefront round; the
-        // property-sharded merge commits it here, lowest depth first.
-        if by_property && options.strategy.needs_cores() && !core_union.is_empty() {
-            engine.rank_mut().update(&core_union, k);
-        }
-        per_depth.push(depth);
-        if resource_out.is_some() {
-            break;
-        }
-        depth_completed = k;
+        fold.end_depth(None);
     }
-
-    let first_falsified = groups
-        .iter()
-        .enumerate()
-        .filter_map(|(p, g)| g.prop.falsified.as_ref().map(|(d, _)| (*d, p)))
-        .min();
-    let mut aggregate = SolverStats::new();
-    let mut proof_acc: Option<crate::ProofSummary> = None;
-    for group in &groups {
-        aggregate.accumulate(&group.stats);
-        crate::certify::merge_opt(&mut proof_acc, group.proof.clone());
+    for session in sessions {
+        fold.add_solver(session);
     }
     // Parallel runs eagerly encode the whole shared prefix, so the cache
     // peak is its full size (bounded prefix mode is sequential-session-only).
-    aggregate.prefix_peak_clauses = aggregate
-        .prefix_peak_clauses
-        .max(unroller.peak_cached_clauses() as u64);
-    let outcome = match (resource_out, first_falsified) {
-        (_, Some((_, p))) => {
-            let (depth, trace) = groups[p]
-                .prop
-                .falsified
-                .clone()
-                .expect("falsified recorded");
-            BmcOutcome::Counterexample { depth, trace }
-        }
-        (Some(at_depth), None) => BmcOutcome::ResourceOut { at_depth },
-        (None, None) => BmcOutcome::BoundReached { depth_completed },
-    };
-    BmcRun {
-        outcome,
-        properties: groups.into_iter().map(|g| g.prop.into_report()).collect(),
-        per_depth,
-        solver_stats: aggregate,
-        workers,
-        total_time: run_start.elapsed(),
-        proof: proof_acc,
-    }
+    fold.finish(unroller.peak_cached_clauses(), workers, run_start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        OrderingStrategy, ProblemBuilder, PropertyVerdict, SolverReuse, VerificationProblem,
+        BmcOutcome, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolverReuse,
+        VerificationProblem,
     };
     use rbmc_circuit::{LatchInit, Netlist, Signal};
 
@@ -1109,6 +701,19 @@ mod tests {
                     r.per_depth.iter().map(|d| d.result).collect()
                 };
                 assert_eq!(depth(&par), depth(&seq), "{strategy:?} j{jobs}");
+                // The same episode primitive in the same call order: every
+                // per-depth search counter matches, not just the verdicts.
+                let counters = |r: &BmcRun| -> Vec<(u64, u64, u64)> {
+                    r.per_depth
+                        .iter()
+                        .map(|d| (d.decisions, d.conflicts, d.implications))
+                        .collect()
+                };
+                assert_eq!(
+                    counters(&par),
+                    counters(&seq),
+                    "{strategy:?} j{jobs} per-depth counters"
+                );
                 assert!(matches!(
                     par.outcome,
                     BmcOutcome::Counterexample { depth: 11, .. }

@@ -24,6 +24,10 @@
 //!   property mix no longer pins the whole run on the worker that drew the
 //!   expensive properties. Core updates commit per episode as they finish.
 //!
+//! Both solve through the same session episode as the sequential loop (the
+//! `episode` module), in its call order; only the schedule and the rank
+//! commits are relaxed.
+//!
 //! **What is guaranteed** (and differentially tested against the
 //! sequential oracle in `tests/relaxed_vs_deterministic.rs`): per-property
 //! verdicts, per-depth verdict sequences, retirement depths, and validated
@@ -47,20 +51,15 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use rbmc_solver::{CancelFlag, Limits, SolveResult, Solver, SolverStats};
+use rbmc_solver::{CancelFlag, SolveResult};
 
-use crate::certify::EpisodeCertifier;
-use crate::engine::{
-    core_model_vars, depth_limits, install_strategy_ranking, strategy_solver_options, BmcEngine,
-    BmcOptions, BmcRun,
-};
-use crate::parallel::{
-    commit_episode, cut_and_merge, striped_map, Episode, GroupOutcome, WorkerReport,
-};
+use crate::engine::{BmcEngine, BmcOptions, BmcRun};
+use crate::episode::{add_clauses, commit_rank, Episode, EpisodeCtx, Session, SessionSummary};
+use crate::parallel::{cut_at_first_unknown, merge_committed, striped_map, WorkerReport};
 use crate::unroll::SharedPrefix;
-use crate::{Model, Trace, Unroller, VarRank};
+use crate::{Model, Unroller, VarRank};
 
 // ---------------------------------------------------------------------------
 // Striped: session solvers across depth residues.
@@ -90,9 +89,7 @@ struct StripedCtx<'a, 'b> {
 struct StripedOut {
     rows: Vec<(usize, Vec<Option<Episode>>)>,
     report: WorkerReport,
-    stats: SolverStats,
-    /// The worker's session-solver proof summary (`None` with proof off).
-    proof: Option<crate::ProofSummary>,
+    session: SessionSummary,
 }
 
 pub(crate) fn run_striped(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
@@ -132,33 +129,23 @@ pub(crate) fn run_striped(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
         .map(|_| (0..num_props).map(|_| None).collect())
         .collect();
     let mut reports = Vec::with_capacity(outputs.len());
-    let mut session_stats = SolverStats::new();
-    let mut proof_acc: Option<crate::ProofSummary> = None;
+    let mut sessions = Vec::with_capacity(outputs.len());
     for out in outputs {
         for (k, row) in out.rows {
             table[k] = row;
         }
         reports.push(out.report);
-        session_stats.accumulate(&out.stats);
-        crate::certify::merge_opt(&mut proof_acc, out.proof);
+        sessions.push(out.session);
     }
-    let cancelled = cancel
-        .as_ref()
-        .is_some_and(rbmc_solver::CancelFlag::is_cancelled);
-    let mut groups: Vec<GroupOutcome> = (0..num_props)
-        .map(|p| GroupOutcome::fresh(&model, p))
-        .collect();
+    let cancelled = cancel.as_ref().is_some_and(CancelFlag::is_cancelled);
+    let mut groups: Vec<Vec<Episode>> = (0..num_props).map(|_| Vec::new()).collect();
     for (p, group) in groups.iter_mut().enumerate() {
-        let mut unsat_depths = 0u64;
-        for (k, row) in table.iter_mut().enumerate() {
+        for row in &mut table {
             match row[p].take() {
                 Some(episode) => {
-                    let unknown = episode.result == SolveResult::Unknown;
-                    if episode.result == SolveResult::Unsat {
-                        unsat_depths += 1;
-                    }
-                    commit_episode(group, episode, k);
-                    if unknown || !group.prop.open {
+                    let done = episode.result != SolveResult::Unsat;
+                    group.push(episode);
+                    if done {
                         break;
                     }
                 }
@@ -166,39 +153,31 @@ pub(crate) fn run_striped(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
                     // A depth this property still needed was never solved —
                     // only a cancelled run leaves such a gap. Surface it as
                     // the budget machinery's Unknown so the cut lands here.
-                    if cancelled && k <= options.max_depth {
-                        commit_episode(group, Episode::synthetic_unknown(), k);
+                    if cancelled {
+                        group.push(Episode::unknown());
                     }
                     break;
                 }
             }
         }
-        // Session semantics: every UNSAT episode retired its activation
-        // literal through a failed-assumption conflict.
-        group.prop.assumption_conflicts = unsat_depths;
     }
 
-    let mut run = cut_and_merge(engine, &options, &unroller, groups, reports, run_start);
-    // Each worker's warm session solver carries the aggregate counters (the
-    // per-episode deltas are already in the per-depth stats). The proof
-    // summaries likewise live with the workers' solvers, not the groups.
-    run.solver_stats = session_stats;
-    run.proof = proof_acc;
+    cut_at_first_unknown(&mut groups);
+    // The workers' warm session solvers carry the aggregate counters and
+    // proof summaries (the per-episode deltas are in the per-depth stats).
+    let run = merge_committed(&unroller, groups, sessions, reports, run_start);
     *engine.rank_mut() = shared_rank.into_inner().expect("rank lock");
     run
 }
 
 /// One striped worker: sweep every property of each owned depth on one warm
-/// session solver, committing each depth's core union to the shared table.
+/// shared session, committing each depth's core union to the shared table.
 fn run_striped_worker(ctx: &StripedCtx<'_, '_>, w: usize) -> StripedOut {
     let worker_start = Instant::now();
     let options = ctx.options;
     let num_props = ctx.model.problem().num_properties();
-    let unroller = Unroller::new(ctx.model);
-    let mut solver = Solver::with_options(strategy_solver_options(options));
-    let mut certifier = EpisodeCertifier::attach(options.proof, &mut solver);
-    let limits = depth_limits(options, ctx.cancel);
-    let mut loaded = 0usize;
+    let solve_ctx = EpisodeCtx::new(ctx.model, options, ctx.cancel);
+    let mut session = Session::new(options, true);
     let mut rows = Vec::new();
     let mut report = WorkerReport {
         worker: w,
@@ -207,10 +186,7 @@ fn run_striped_worker(ctx: &StripedCtx<'_, '_>, w: usize) -> StripedOut {
 
     let mut k = w;
     while k <= options.max_depth {
-        if ctx
-            .cancel
-            .is_some_and(rbmc_solver::CancelFlag::is_cancelled)
-        {
+        if ctx.cancel.is_some_and(CancelFlag::is_cancelled) {
             break;
         }
         if k > ctx.unknown_min.load(Ordering::Relaxed) {
@@ -221,52 +197,44 @@ fn run_striped_worker(ctx: &StripedCtx<'_, '_>, w: usize) -> StripedOut {
         if (0..num_props).all(|p| ctx.sat_min[p].load(Ordering::Relaxed) < k) {
             break;
         }
-        while loaded <= k {
-            for clause in ctx.prefix.frame_delta(loaded) {
-                solver.add_clause(clause.lits());
-            }
-            loaded += 1;
-        }
+        session.load_frames_through(k, |j, solver| {
+            add_clauses(solver, ctx.prefix.frame_delta(j));
+        });
         let rank_snapshot: Vec<u64> = ctx.rank.lock().expect("rank lock").snapshot();
-        install_strategy_ranking(options.strategy, &rank_snapshot, &mut solver, &unroller, k);
+        let mut ranking = Some(rank_snapshot.as_slice());
         let mut row: Vec<Option<Episode>> = (0..num_props).map(|_| None).collect();
         let mut hit_unknown = false;
-        for (p_idx, slot) in row.iter_mut().enumerate() {
-            if k > ctx.sat_min[p_idx].load(Ordering::Relaxed) {
+        for (p, slot) in row.iter_mut().enumerate() {
+            if k > ctx.sat_min[p].load(Ordering::Relaxed) {
                 continue;
             }
-            let episode = run_striped_episode(ctx, &unroller, &mut solver, &limits, k, p_idx);
-            if episode.result == SolveResult::Unsat {
-                if let Some(cert) = certifier.as_mut() {
-                    cert.observe_unsat();
+            let episode = session.episode(&solve_ctx, k, p, ranking.take());
+            episode.charge(&mut report);
+            match episode.result {
+                SolveResult::Sat => {
+                    ctx.sat_min[p].fetch_min(k, Ordering::Relaxed);
                 }
+                SolveResult::Unknown => {
+                    hit_unknown = true;
+                    ctx.unknown_min.fetch_min(k, Ordering::Relaxed);
+                }
+                SolveResult::Unsat => {}
             }
-            report.episodes += 1;
-            report.decisions += episode.decisions;
-            report.conflicts += episode.conflicts;
-            report.propagations += episode.implications;
-            hit_unknown = episode.result == SolveResult::Unknown;
             *slot = Some(episode);
             if hit_unknown {
-                ctx.unknown_min.fetch_min(k, Ordering::Relaxed);
                 break;
             }
         }
         // The worker owns the whole depth, so this is the sequential
         // engine's per-depth union — only its position in the shared
         // table's update order is relaxed.
-        if options.strategy.needs_cores() {
-            ctx.rank.lock().expect("rank lock").update_union(
-                row.iter()
-                    .flatten()
-                    .filter(|e| e.result == SolveResult::Unsat)
-                    .map(|e| e.core.as_slice()),
-                k,
-            );
-        }
-        if options.cdg_prune {
-            solver.prune_cdg();
-        }
+        commit_rank(
+            options,
+            &mut ctx.rank.lock().expect("rank lock"),
+            k,
+            row.iter().flatten().map(|e| e.core.as_slice()),
+        );
+        session.end_depth();
         report.items += 1;
         rows.push((k, row));
         if hit_unknown {
@@ -278,81 +246,21 @@ fn run_striped_worker(ctx: &StripedCtx<'_, '_>, w: usize) -> StripedOut {
     StripedOut {
         rows,
         report,
-        stats: solver.stats().clone(),
-        proof: certifier.map(EpisodeCertifier::into_summary),
+        session: session.finish(),
     }
-}
-
-/// One property's episode at one striped depth: the session scheme of the
-/// sequential engine (activation literal, assumption solve, retirement
-/// unit), buffered as an [`Episode`] for the commit walk.
-fn run_striped_episode(
-    ctx: &StripedCtx<'_, '_>,
-    unroller: &Unroller<'_>,
-    solver: &mut Solver,
-    limits: &Limits,
-    k: usize,
-    p_idx: usize,
-) -> Episode {
-    let start = Instant::now();
-    let num_props = ctx.model.problem().num_properties();
-    let bad = ctx.model.problem().property(p_idx).bad();
-    let base = solver.stats().clone();
-    let act = BmcEngine::activation_lit(unroller, ctx.options, num_props, k, p_idx);
-    solver.add_clause(&[!act, unroller.lit_of(bad, k)]);
-    let result = solver.solve_under_limited(&[act], limits);
-    let stats = solver.stats();
-    let mut episode = Episode {
-        result,
-        decisions: stats.decisions - base.decisions,
-        implications: stats.propagations - base.propagations,
-        conflicts: stats.conflicts - base.conflicts,
-        cdg_nodes: stats.cdg_nodes - base.cdg_nodes,
-        cdg_edges: stats.cdg_edges - base.cdg_edges,
-        num_clauses: solver.num_original_clauses(),
-        switched: stats.switched_to_vsids,
-        core: Vec::new(),
-        trace: None,
-        solver_stats: None,
-        proof: None,
-        time: Duration::ZERO,
-    };
-    match result {
-        SolveResult::Sat => {
-            let assignment = solver.model().expect("model after SAT");
-            let trace = Trace::from_assignment(unroller, assignment, k);
-            debug_assert!(
-                trace.validate_against(ctx.model.netlist(), bad).is_ok(),
-                "solver returned an invalid counterexample at depth {k}"
-            );
-            episode.trace = Some(trace);
-            ctx.sat_min[p_idx].fetch_min(k, Ordering::Relaxed);
-            solver.add_clause(&[!act]);
-        }
-        SolveResult::Unsat => {
-            episode.core = core_model_vars(solver, unroller.num_vars_at(k));
-            solver.add_clause(&[!act]);
-        }
-        SolveResult::Unknown => {}
-    }
-    episode.time = start.elapsed();
-    episode
 }
 
 // ---------------------------------------------------------------------------
 // Work stealing: per-property sessions rebalanced across worker deques.
 // ---------------------------------------------------------------------------
 
-/// A per-property session parked between depth advances.
+/// A per-property session parked between depth advances. The session's
+/// certifier migrates with its solver.
 struct Task {
     p_idx: usize,
-    solver: Solver,
-    /// The session's proof certifier — it migrates with the solver.
-    certifier: Option<EpisodeCertifier>,
-    /// Frames loaded into `solver` so far (exclusive bound).
-    loaded: usize,
-    next_depth: usize,
-    group: GroupOutcome,
+    session: Session,
+    /// Committed episodes, one per depth (the next depth is their count).
+    episodes: Vec<Episode>,
 }
 
 /// Shared state of a work-stealing run.
@@ -384,18 +292,13 @@ pub(crate) fn run_work_stealing(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
         .map(|_| Mutex::new(VecDeque::new()))
         .collect();
     for p in 0..num_props {
-        let mut solver = Solver::with_options(strategy_solver_options(&options));
-        let certifier = EpisodeCertifier::attach(options.proof, &mut solver);
         deques[p % num_workers]
             .lock()
             .expect("deque lock")
             .push_back(Task {
                 p_idx: p,
-                solver,
-                certifier,
-                loaded: 0,
-                next_depth: 0,
-                group: GroupOutcome::fresh(&model, p),
+                session: Session::new(&options, false),
+                episodes: Vec::new(),
             });
     }
     let live = AtomicUsize::new(num_props);
@@ -418,11 +321,12 @@ pub(crate) fn run_work_stealing(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
     let mut tasks = finished.into_inner().expect("finished lock");
     tasks.sort_by_key(|t| t.p_idx);
     debug_assert_eq!(tasks.len(), num_props, "every session ends in `finished`");
-    let groups: Vec<GroupOutcome> = tasks.into_iter().map(|t| t.group).collect();
-
-    // `group.stats` carries each property session's final counters, which
-    // `merge_committed` aggregates — nothing to override here.
-    let run = cut_and_merge(engine, &options, &unroller, groups, reports, run_start);
+    let (mut groups, sessions): (Vec<_>, Vec<_>) = tasks
+        .into_iter()
+        .map(|t| (t.episodes, t.session.finish()))
+        .unzip();
+    cut_at_first_unknown(&mut groups);
+    let run = merge_committed(&unroller, groups, sessions, reports, run_start);
     *engine.rank_mut() = shared_rank.into_inner().expect("rank lock");
     run
 }
@@ -432,8 +336,7 @@ pub(crate) fn run_work_stealing(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
 /// or retire it.
 fn run_steal_worker(ctx: &StealCtx<'_, '_>, w: usize) -> WorkerReport {
     let worker_start = Instant::now();
-    let limits = depth_limits(ctx.options, ctx.cancel);
-    let unroller = Unroller::new(ctx.model);
+    let solve_ctx = EpisodeCtx::new(ctx.model, ctx.options, ctx.cancel);
     let mut report = WorkerReport {
         worker: w,
         ..WorkerReport::default()
@@ -467,21 +370,11 @@ fn run_steal_worker(ctx: &StealCtx<'_, '_>, w: usize) -> WorkerReport {
             continue;
         };
         report.items += 1;
-        let episode_counters = advance_task(ctx, &unroller, &limits, &mut task);
-        report.episodes += 1;
-        report.decisions += episode_counters.0;
-        report.conflicts += episode_counters.1;
-        report.propagations += episode_counters.2;
-        let done = !task.group.prop.open
-            || task
-                .group
-                .episodes
-                .last()
-                .is_some_and(|e| e.result == SolveResult::Unknown)
-            || task.next_depth > ctx.options.max_depth;
+        advance_task(ctx, &solve_ctx, &mut task);
+        let last = task.episodes.last().expect("advanced one depth");
+        last.charge(&mut report);
+        let done = last.result != SolveResult::Unsat || task.episodes.len() > ctx.options.max_depth;
         if done {
-            task.group.stats = task.solver.stats().clone();
-            task.group.proof = task.certifier.take().map(EpisodeCertifier::into_summary);
             ctx.finished.lock().expect("finished lock").push(task);
             // Release ordering publishes the finished task before other
             // workers observe the counter reaching zero.
@@ -494,100 +387,30 @@ fn run_steal_worker(ctx: &StealCtx<'_, '_>, w: usize) -> WorkerReport {
     report
 }
 
-/// Advances one property session by exactly one depth (the session scheme
-/// of `run_property_session`, cut at depth granularity so sessions can
-/// migrate between workers). Returns the episode's (decisions, conflicts,
-/// propagations) for the worker report.
-fn advance_task(
-    ctx: &StealCtx<'_, '_>,
-    unroller: &Unroller<'_>,
-    limits: &Limits,
-    task: &mut Task,
-) -> (u64, u64, u64) {
-    let options = ctx.options;
-    let k = task.next_depth;
-    let start = Instant::now();
-    while task.loaded <= k {
-        for clause in ctx.prefix.frame_delta(task.loaded) {
-            task.solver.add_clause(clause.lits());
-        }
-        task.loaded += 1;
-    }
-    let base = task.solver.stats().clone();
-    let act = BmcEngine::activation_lit(unroller, options, 1, k, 0);
-    task.solver
-        .add_clause(&[!act, unroller.lit_of(task.group.prop.bad, k)]);
+/// Advances one property session by exactly one depth (the dedicated
+/// session of `ShardMode::ByProperty`, cut at depth granularity so sessions
+/// can migrate between workers).
+fn advance_task(ctx: &StealCtx<'_, '_>, solve_ctx: &EpisodeCtx<'_>, task: &mut Task) {
+    let k = task.episodes.len();
+    task.session.load_frames_through(k, |j, solver| {
+        add_clauses(solver, ctx.prefix.frame_delta(j));
+    });
     let rank_snapshot: Vec<u64> = ctx.rank.lock().expect("rank lock").snapshot();
-    install_strategy_ranking(
-        options.strategy,
-        &rank_snapshot,
-        &mut task.solver,
-        unroller,
+    let episode = task
+        .session
+        .episode(solve_ctx, k, task.p_idx, Some(&rank_snapshot));
+    // Per-episode commit: this property's core lands in the shared table as
+    // soon as it exists — relaxed both in depth order and in the per-depth
+    // union (a variable cited by several properties' cores at the same
+    // depth is credited per core).
+    commit_rank(
+        ctx.options,
+        &mut ctx.rank.lock().expect("rank lock"),
         k,
+        [episode.core.as_slice()],
     );
-    let result = task.solver.solve_under_limited(&[act], limits);
-    let stats = task.solver.stats();
-    let counters = (
-        stats.decisions - base.decisions,
-        stats.conflicts - base.conflicts,
-        stats.propagations - base.propagations,
-    );
-    let mut episode = Episode {
-        result,
-        decisions: counters.0,
-        implications: counters.2,
-        conflicts: counters.1,
-        cdg_nodes: stats.cdg_nodes - base.cdg_nodes,
-        cdg_edges: stats.cdg_edges - base.cdg_edges,
-        num_clauses: task.solver.num_original_clauses(),
-        switched: stats.switched_to_vsids,
-        core: Vec::new(),
-        trace: None,
-        solver_stats: None,
-        proof: None,
-        time: Duration::ZERO,
-    };
-    match result {
-        SolveResult::Sat => {
-            let assignment = task.solver.model().expect("model after SAT");
-            let trace = Trace::from_assignment(unroller, assignment, k);
-            debug_assert!(
-                trace
-                    .validate_against(ctx.model.netlist(), task.group.prop.bad)
-                    .is_ok(),
-                "solver returned an invalid counterexample for `{}`",
-                task.group.prop.name
-            );
-            episode.trace = Some(trace);
-            task.solver.add_clause(&[!act]);
-        }
-        SolveResult::Unsat => {
-            episode.core = core_model_vars(&task.solver, unroller.num_vars_at(k));
-            task.solver.add_clause(&[!act]);
-            task.group.prop.assumption_conflicts += 1;
-            if let Some(cert) = task.certifier.as_mut() {
-                cert.observe_unsat();
-            }
-            // Per-episode commit: this property's core lands in the shared
-            // table as soon as it exists — relaxed both in depth order and
-            // in the per-depth union (a variable cited by several
-            // properties' cores at the same depth is credited per core).
-            if options.strategy.needs_cores() && !episode.core.is_empty() {
-                ctx.rank
-                    .lock()
-                    .expect("rank lock")
-                    .update_union(std::iter::once(episode.core.as_slice()), k);
-            }
-        }
-        SolveResult::Unknown => {}
-    }
-    episode.time = start.elapsed();
-    commit_episode(&mut task.group, episode, k);
-    if options.cdg_prune {
-        task.solver.prune_cdg();
-    }
-    task.next_depth = k + 1;
-    counters
+    task.session.end_depth();
+    task.episodes.push(episode);
 }
 
 #[cfg(test)]
