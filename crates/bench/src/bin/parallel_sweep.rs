@@ -21,7 +21,7 @@
 //! ```text
 //! parallel_sweep [DIR] [--smoke] [--depth N] [--jobs-list 1,2,4]
 //!                [--shard by-property|by-depth] [--no-preprocess]
-//!                [--modes deterministic,striped,work-stealing,portfolio]
+//!                [--modes deterministic,portfolio]
 //!                [--jobs N] [--repeat N]
 //!                [--json-out PATH | --no-json]
 //! ```
@@ -31,14 +31,14 @@
 //! engines against raw engines); by default all configurations run the
 //! reduced model, like `rbmc` does.
 //!
-//! With `--modes`, the binary switches from the jobs sweep to the **relaxed
-//! mode comparison** (`BENCH_relaxed.json`): every listed dispatch mode
-//! sweeps the corpus at one worker budget (`--jobs`, default 4), each
-//! file's wall time is the minimum over `--repeat` runs (default 2, to damp
-//! scheduler noise), verdicts are cross-checked against the deterministic
-//! mode, and each relaxed/portfolio mode records its total speedup over the
-//! deterministic sweep plus its worst per-file regression ratio
-//! (`worst_file_ratio_vs_det`).
+//! With `--modes`, the binary switches from the jobs sweep to the **mode
+//! comparison** (`BENCH_relaxed.json`): the deterministic by-property
+//! engine and a strategy-portfolio race each sweep the corpus at one
+//! worker budget (`--jobs`, default 4), each file's wall time is the
+//! minimum over `--repeat` runs (default 2, to damp scheduler noise), the
+//! portfolio's verdicts are cross-checked against the deterministic mode,
+//! and it records its total speedup over the deterministic sweep plus its
+//! worst per-file regression ratio (`worst_file_ratio_vs_det`).
 //!
 //! Without a positional corpus directory, the gens suite is exported to
 //! `target/parallel-corpus` and swept from there.
@@ -83,13 +83,11 @@ fn all_verdicts(runs: &[BmcRun]) -> Vec<Vec<SolveResult>> {
         .collect()
 }
 
-/// One dispatch mode of the relaxed comparison sweep.
+/// One dispatch mode of the mode comparison sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SweepMode {
     /// The deterministic commit-order baseline ([`ShardMode::ByProperty`]).
     Deterministic,
-    /// A relaxed engine grain.
-    Relaxed(ShardMode),
     /// Strategy-portfolio racing.
     Portfolio,
 }
@@ -98,7 +96,6 @@ impl SweepMode {
     fn label(self) -> &'static str {
         match self {
             SweepMode::Deterministic => "deterministic",
-            SweepMode::Relaxed(shard) => shard.label(),
             SweepMode::Portfolio => "portfolio",
         }
     }
@@ -107,12 +104,12 @@ impl SweepMode {
         match label {
             "deterministic" | "det" => Some(SweepMode::Deterministic),
             "portfolio" => Some(SweepMode::Portfolio),
-            other => ShardMode::parse(other).map(SweepMode::Relaxed),
+            _ => None,
         }
     }
 }
 
-/// One mode's sweep for the relaxed comparison: every file's engine (or
+/// One mode's sweep for the mode comparison: every file's engine (or
 /// race) gets the full worker budget, files run sequentially (the engine
 /// grain is what is being measured), and each file's wall time is the
 /// minimum over `repeat` runs. Returns the last repeat's runs (for the
@@ -127,7 +124,6 @@ fn mode_sweep(
     let options = BmcOptions {
         parallel: match mode {
             SweepMode::Deterministic => Some(ParallelConfig::by_property(jobs)),
-            SweepMode::Relaxed(shard) => Some(ParallelConfig { jobs, shard }),
             SweepMode::Portfolio => None,
         },
         ..*base
@@ -144,7 +140,7 @@ fn mode_sweep(
                     SweepMode::Portfolio => {
                         run_portfolio(problem, &options, PortfolioMode::Strategies, jobs).run
                     }
-                    _ => {
+                    SweepMode::Deterministic => {
                         let mut engine = BmcEngine::for_problem(problem.clone(), options);
                         engine.run_collecting()
                     }
@@ -290,7 +286,7 @@ fn main() -> ExitCode {
         .map(rbmc_core::VerificationProblem::num_properties)
         .sum();
 
-    // --modes switches to the relaxed mode comparison (BENCH_relaxed.json).
+    // --modes switches to the mode comparison (BENCH_relaxed.json).
     if let Some(modes_arg) = flag_value(&args, "--modes") {
         let mut modes: Vec<SweepMode> = Vec::new();
         for label in modes_arg.split(',') {
@@ -301,10 +297,7 @@ fn main() -> ExitCode {
                     }
                 }
                 None => {
-                    eprintln!(
-                        "error: --modes accepts deterministic|by-property|by-depth|striped|\
-                         work-stealing|portfolio, got `{label}`"
-                    );
+                    eprintln!("error: --modes accepts deterministic|portfolio, got `{label}`");
                     return ExitCode::from(2);
                 }
             }
@@ -328,12 +321,12 @@ fn main() -> ExitCode {
             ..BmcOptions::default()
         };
         println!(
-            "relaxed mode comparison: {} files / {num_properties} properties to depth {depth} \
+            "mode comparison: {} files / {num_properties} properties to depth {depth} \
              (jobs {jobs}, min of {repeat} runs, host cpus {host_cpus})",
             problems.len(),
         );
         let mut report = BenchReport::new(format!(
-            "relaxed mode comparison ({}, depth={depth}, jobs={jobs}, repeat={repeat}, \
+            "mode comparison ({}, depth={depth}, jobs={jobs}, repeat={repeat}, \
              host_cpus={host_cpus})",
             corpus_dir.display(),
         ));

@@ -17,8 +17,7 @@
 //! rbmc [DIR] [--export-corpus DIR] [--depth N] [--reuse fresh|session]
 //!      [--engine bmc|ic3|induction|portfolio]
 //!      [--strategy bmc|sta|dyn|sht] [--divisor N] [--jobs N]
-//!      [--shard by-property|by-depth|striped|work-stealing]
-//!      [--relaxed] [--deterministic] [--no-preprocess]
+//!      [--shard by-property|by-depth] [--no-preprocess]
 //!      [--lint off|warn|deny] [--lint-json PATH]
 //!      [--proof off|log|check]
 //!      [--portfolio] [--portfolio-mode strategies|reuse|full]
@@ -42,12 +41,6 @@
 //!   Verdicts, witnesses, and rank tables are independent of `N`; the
 //!   per-file output is buffered and printed in file order, so the whole
 //!   report is byte-stable too.
-//! - `--relaxed` runs each file's engine in a relaxed parallel grain
-//!   (default [`ShardMode::Striped`]; `--shard striped|work-stealing`
-//!   picks): verdict-equivalent to the deterministic run but with
-//!   scheduling-dependent rank tables. `--deterministic` asserts the
-//!   opposite — it is an error to combine it with `--relaxed`,
-//!   `--portfolio`, or a relaxed `--shard`.
 //! - `--engine` picks the verification algorithm: `bmc` (default), `ic3`
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
@@ -58,11 +51,12 @@
 //! - `--portfolio` races independent engine configurations per file
 //!   (first verdict wins, losers cancelled); `--portfolio-mode` picks the
 //!   roster axis (strategies, reuse regimes, or the full product —
-//!   `full` also races the IC3 and k-induction provers).
+//!   `full` also races the IC3 and k-induction provers). The race is the
+//!   one run mode whose rank tables depend on scheduling (which member
+//!   wins); its verdicts do not.
 //! - `--selfcheck` is the differential harness: the main run, the
 //!   *opposite* solver-reuse regime, the *opposite* preprocessing regime,
-//!   both deterministic parallel grains,
-//!   and both relaxed grains must agree on every property's per-depth
+//!   and both parallel grains must agree on every property's per-depth
 //!   verdict sequence, and every property is additionally re-checked with
 //!   fresh-per-depth single-property runs ([`SolverReuse::Fresh`]). **All**
 //!   mismatching properties across all modes are reported before the
@@ -107,10 +101,15 @@
 //!   `check` also fails any file with a proof that carries no invariant
 //!   (k-induction, also as a portfolio winner): such a proof is neither
 //!   invariant-checked nor certified. The summary line counts
-//!   invariant-checked and uncertified proofs apart. Under `--selfcheck`, the differential cross-runs inherit the proof
-//!   mode, so the relaxed/parallel grains are certified too.
+//!   invariant-checked and uncertified proofs apart. Under `--selfcheck`,
+//!   the differential cross-runs inherit the proof mode, so the parallel
+//!   grains are certified too.
 //! - `--smoke` shrinks the export to the small suite and the default depth
 //!   bound to 10 (CI mode).
+//!
+//! The command line fails closed: an unknown `--flag`, or a missing or
+//! malformed value for a numeric flag (`--depth`, `--divisor`, `--jobs`) or
+//! an enumerated one, exits with status 2 before anything runs.
 //!
 //! The run is recorded as a machine-readable `BENCH_corpus.json` artifact
 //! with one case per (file, property), carrying the per-property session
@@ -141,6 +140,79 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--depth",
+    "--divisor",
+    "--strategy",
+    "--engine",
+    "--reuse",
+    "--jobs",
+    "--shard",
+    "--portfolio-mode",
+    "--witness-dir",
+    "--json-out",
+    "--export-corpus",
+    "--lint",
+    "--lint-json",
+    "--proof",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--smoke",
+    "--small",
+    "--selfcheck",
+    "--quiet-witnesses",
+    "--no-preprocess",
+    "--portfolio",
+    "--no-json",
+];
+
+/// Reports a command-line error and exits with the usage status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// The corpus directory argument: the first positional (non-flag) one. A
+/// flag the runner does not know, or a value flag without its value, is an
+/// error, so a misspelt or retired flag cannot quietly run the default
+/// configuration.
+fn corpus_arg(args: &[String]) -> Result<Option<PathBuf>, String> {
+    let mut positional = None;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} requires a value"));
+            }
+        } else if arg.starts_with("--") {
+            if !SWITCHES.contains(&arg.as_str()) {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        } else if positional.is_none() {
+            positional = Some(PathBuf::from(arg));
+        }
+    }
+    Ok(positional)
+}
+
+/// `flag`'s numeric value, or `default` when the flag is absent. A value
+/// that does not parse is an error, never the default.
+fn numeric_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag_value(args, flag) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("{flag} requires a number, got `{value}`")),
+    }
+}
+
 /// How `--lint` diagnostics gate the sweep (`rbmc_circuit::lint`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LintMode {
@@ -160,10 +232,7 @@ fn parse_lint_mode(args: &[String]) -> LintMode {
         None | Some("warn") => LintMode::Warn,
         Some("off") => LintMode::Off,
         Some("deny") => LintMode::Deny,
-        Some(other) => {
-            eprintln!("error: --lint requires off|warn|deny, got `{other}`");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!("--lint requires off|warn|deny, got `{other}`")),
     }
 }
 
@@ -172,10 +241,7 @@ fn parse_proof_mode(args: &[String]) -> ProofMode {
         None | Some("off") => ProofMode::Off,
         Some("log") => ProofMode::Log,
         Some("check") => ProofMode::Check,
-        Some(other) => {
-            eprintln!("error: --proof requires off|log|check, got `{other}`");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!("--proof requires off|log|check, got `{other}`")),
     }
 }
 
@@ -227,10 +293,9 @@ fn parse_strategy(args: &[String], divisor: u32) -> OrderingStrategy {
         Some("bmc") => OrderingStrategy::Standard,
         Some("sta") => OrderingStrategy::RefinedStatic,
         Some("sht") => OrderingStrategy::Shtrichman,
-        Some(other) => {
-            eprintln!("error: --strategy requires bmc|sta|dyn|sht, got `{other}`");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!(
+            "--strategy requires bmc|sta|dyn|sht, got `{other}`"
+        )),
     }
 }
 
@@ -443,8 +508,8 @@ fn prover_cross_check(
 
 /// One diagnostic when a differential cross-run's own proof check rejected
 /// a certificate (the cross-runs inherit the main run's `--proof` mode, so
-/// the relaxed and parallel grains are certified too, not just the
-/// configuration the sweep reports).
+/// the parallel grains are certified too, not just the configuration the
+/// sweep reports).
 fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> {
     let proof = run.proof.as_ref().filter(|p| p.rejected())?;
     Some(format!(
@@ -986,16 +1051,14 @@ fn check_file(
              frontier prefix (falsification depths exact, proofs counterexample-free)"
         );
     } else if selfcheck {
-        // The differential harness: the opposite solver-reuse regime, both
-        // deterministic parallel grains, and both relaxed grains must all
-        // reproduce the main run's per-depth verdicts property for
-        // property. All mismatches across all modes are collected before
-        // failing, so one bad file reports its complete offender set. The
-        // cross-checks inherit the main run's engine worker budget (relaxed
-        // verdicts are worker-count-independent too — that is the contract
-        // under test) — hard-coding a larger count here would quietly break
-        // the sweep's no-more-than-~jobs-threads guarantee inside each file
-        // worker.
+        // The differential harness: the opposite solver-reuse regime and
+        // both parallel grains must all reproduce the main run's per-depth
+        // verdicts property for property. All mismatches across all modes
+        // are collected before failing, so one bad file reports its
+        // complete offender set. The cross-checks inherit the main run's
+        // engine worker budget — hard-coding a larger count here would
+        // quietly break the sweep's no-more-than-~jobs-threads guarantee
+        // inside each file worker.
         let cross_jobs = options.parallel.map_or(1, |c| c.jobs);
         let other_reuse = match options.reuse {
             SolverReuse::Session => SolverReuse::Fresh,
@@ -1031,12 +1094,7 @@ fn check_file(
                 "preprocessing on"
             },
         ));
-        for shard in [
-            ShardMode::ByProperty,
-            ShardMode::ByDepth,
-            ShardMode::Striped,
-            ShardMode::WorkStealing,
-        ] {
+        for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
             mismatches.extend(cross_check(
                 &stem,
                 &problem,
@@ -1091,7 +1149,7 @@ fn check_file(
         }
         let _ = writeln!(
             out,
-            "  selfcheck: verdicts match across fresh/session/parallel/relaxed runs \
+            "  selfcheck: verdicts match across fresh/session/parallel runs \
              and both preprocessing regimes"
         );
     }
@@ -1100,23 +1158,18 @@ fn check_file(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let corpus_arg = corpus_arg(&args).unwrap_or_else(|e| usage_error(&e));
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
     let selfcheck = args.iter().any(|a| a == "--selfcheck");
     let quiet_witnesses = args.iter().any(|a| a == "--quiet-witnesses");
-    let depth: usize = flag_value(&args, "--depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 10 } else { 20 });
-    let divisor: u32 = flag_value(&args, "--divisor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let depth: usize = numeric_flag(&args, "--depth", if smoke { 10 } else { 20 })
+        .unwrap_or_else(|e| usage_error(&e));
+    let divisor: u32 = numeric_flag(&args, "--divisor", 64).unwrap_or_else(|e| usage_error(&e));
     let strategy = parse_strategy(&args, divisor);
     let reuse = rbmc_bench::cli_reuse(&args, SolverReuse::Session);
-    let jobs: usize = flag_value(&args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    let jobs = numeric_flag(&args, "--jobs", 1usize)
+        .unwrap_or_else(|e| usage_error(&e))
         .max(1);
-    let relaxed = args.iter().any(|a| a == "--relaxed");
-    let deterministic = args.iter().any(|a| a == "--deterministic");
     let no_preprocess = args.iter().any(|a| a == "--no-preprocess");
     let lint_mode = parse_lint_mode(&args);
     let lint_json = flag_value(&args, "--lint-json").map(PathBuf::from);
@@ -1131,63 +1184,43 @@ fn main() -> ExitCode {
         Some("portfolio") => EngineKind::Bmc,
         Some(label) => match EngineKind::parse(label) {
             Some(kind) => kind,
-            None => {
-                eprintln!("error: --engine requires bmc|ic3|induction|portfolio, got `{label}`");
-                return ExitCode::from(2);
-            }
+            None => usage_error(&format!(
+                "--engine requires bmc|ic3|induction|portfolio, got `{label}`"
+            )),
         },
     };
     let portfolio_flag = args.iter().any(|a| a == "--portfolio") || engine_portfolio;
     if engine_kind != EngineKind::Bmc && portfolio_flag {
-        eprintln!(
-            "error: --engine {} cannot be combined with --portfolio \
+        usage_error(&format!(
+            "--engine {} cannot be combined with --portfolio \
              (use --engine portfolio to race the engines)",
             engine_kind.label()
-        );
-        return ExitCode::from(2);
+        ));
     }
     let portfolio_mode = match flag_value(&args, "--portfolio-mode") {
         None if engine_portfolio => PortfolioMode::Full,
         None => PortfolioMode::default(),
         Some(label) => match PortfolioMode::parse(label) {
             Some(mode) => mode,
-            None => {
-                eprintln!("error: --portfolio-mode requires strategies|reuse|full, got `{label}`");
-                return ExitCode::from(2);
-            }
+            None => usage_error(&format!(
+                "--portfolio-mode requires strategies|reuse|full, got `{label}`"
+            )),
         },
     };
     // The engine-level sharding grain mirrors the solver-reuse regime unless
     // forced: sessions shard by property, the fresh regime by depth.
-    // `--relaxed` flips the default to the striped relaxed grain.
     let shard = match flag_value(&args, "--shard") {
-        None if relaxed => ShardMode::Striped,
         None => match reuse {
             SolverReuse::Session => ShardMode::ByProperty,
             SolverReuse::Fresh => ShardMode::ByDepth,
         },
         Some(label) => match ShardMode::parse(label) {
             Some(mode) => mode,
-            None => {
-                eprintln!(
-                    "error: --shard requires by-property|by-depth|striped|work-stealing, \
-                     got `{label}`"
-                );
-                return ExitCode::from(2);
-            }
+            None => usage_error(&format!(
+                "--shard requires by-property|by-depth, got `{label}`"
+            )),
         },
     };
-    // `--deterministic` asserts the full reproducibility contract; the
-    // relaxed grains and portfolio racing guarantee only verdict
-    // equivalence, so combining them is a contradiction, not a preference.
-    if deterministic && (relaxed || portfolio_flag || !shard.is_deterministic()) {
-        eprintln!(
-            "error: --deterministic cannot be combined with --relaxed, --portfolio, \
-             or --shard {}",
-            shard.label()
-        );
-        return ExitCode::from(2);
-    }
     let witness_dir = flag_value(&args, "--witness-dir").map(PathBuf::from);
     if let Some(dir) = &witness_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -1196,16 +1229,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let export_dir = match args.iter().position(|a| a == "--export-corpus") {
-        Some(i) => match args.get(i + 1) {
-            Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-            _ => {
-                eprintln!("error: --export-corpus requires a directory argument");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
+    let export_dir = flag_value(&args, "--export-corpus").map(|dir| {
+        if dir.starts_with("--") {
+            usage_error("--export-corpus requires a directory argument");
+        }
+        PathBuf::from(dir)
+    });
     if let Some(dir) = &export_dir {
         let mut suite = if smoke {
             rbmc_gens::small_suite()
@@ -1229,48 +1258,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // The corpus directory: first positional (non-flag) argument, falling
-    // back to a directory just exported.
-    let value_flags = [
-        "--depth",
-        "--divisor",
-        "--strategy",
-        "--engine",
-        "--reuse",
-        "--jobs",
-        "--shard",
-        "--portfolio-mode",
-        "--witness-dir",
-        "--json-out",
-        "--export-corpus",
-        "--lint",
-        "--lint-json",
-        "--proof",
-    ];
-    let mut positional: Option<PathBuf> = None;
-    let mut skip = false;
-    for arg in &args[1..] {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip = true;
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        positional = Some(PathBuf::from(arg));
-        break;
-    }
-    let Some(corpus_dir) = positional.or(export_dir) else {
+    // The corpus directory: the positional argument, falling back to a
+    // directory just exported.
+    let Some(corpus_dir) = corpus_arg.or(export_dir) else {
         eprintln!(
             "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] \
              [--engine bmc|ic3|induction|portfolio] \
              [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
-             [--jobs N] [--shard by-property|by-depth|striped|work-stealing] \
-             [--relaxed] [--deterministic] [--no-preprocess] [--lint off|warn|deny] \
+             [--jobs N] [--shard by-property|by-depth] \
+             [--no-preprocess] [--lint off|warn|deny] \
              [--lint-json PATH] [--proof off|log|check] \
              [--portfolio] [--portfolio-mode strategies|reuse|full] \
              [--selfcheck] [--smoke] [--witness-dir DIR] [--json-out PATH | --no-json]"
@@ -1337,10 +1333,10 @@ fn main() -> ExitCode {
     // engine-grain sharding, so the whole budget goes to each file's engine
     // (even `jobs = 1` — the parallel decomposition with one worker) and
     // the file sweep runs sequentially.
-    // `--relaxed` and `--portfolio` are engine-grain requests just like an
-    // explicit `--shard`: the whole budget goes to each file's engine (or
-    // race) and the file sweep runs sequentially.
-    let engine_forced = flag_value(&args, "--shard").is_some() || relaxed || portfolio_flag;
+    // `--portfolio` is an engine-grain request just like an explicit
+    // `--shard`: the whole budget goes to each file's race and the file
+    // sweep runs sequentially.
+    let engine_forced = flag_value(&args, "--shard").is_some() || portfolio_flag;
     let file_workers = if engine_forced {
         1
     } else {
@@ -1483,10 +1479,68 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{proof_counts, uncertified_proofs, verdict_mismatches, witness_text};
+    use super::{
+        corpus_arg, numeric_flag, proof_counts, uncertified_proofs, verdict_mismatches,
+        witness_text,
+    };
     use rbmc_bench::BenchCase;
     use rbmc_core::SolveResult::{Sat, Unsat};
-    use rbmc_core::{BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, Trace};
+    use rbmc_core::{
+        BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, ShardMode, Trace,
+    };
+    use std::path::PathBuf;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        std::iter::once("rbmc")
+            .chain(v.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn malformed_numeric_values_are_errors_not_defaults() {
+        for flag in ["--depth", "--divisor", "--jobs"] {
+            let err = numeric_flag(&args(&[flag, "abc"]), flag, 7u32).unwrap_err();
+            assert!(err.contains(flag) && err.contains("abc"), "{err}");
+        }
+        assert!(numeric_flag(&args(&["--jobs", "two"]), "--jobs", 1usize).is_err());
+        assert!(numeric_flag(&args(&["--depth", "-3"]), "--depth", 20usize).is_err());
+        assert_eq!(
+            numeric_flag(&args(&["--depth", "12"]), "--depth", 20usize),
+            Ok(12)
+        );
+        assert_eq!(
+            numeric_flag(&args(&["--smoke"]), "--depth", 20usize),
+            Ok(20)
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        for flag in ["--relaxd", "--jobz", "--portfolio-mod"] {
+            let err = corpus_arg(&args(&["corpus", flag])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = corpus_arg(&args(&["corpus", "--depth"])).unwrap_err();
+        assert!(err.contains("--depth requires a value"), "{err}");
+        assert_eq!(
+            corpus_arg(&args(&["--depth", "5", "corpus", "--smoke", "--jobs", "2"])),
+            Ok(Some(PathBuf::from("corpus")))
+        );
+        // A value flag's argument is never taken for the corpus directory.
+        assert_eq!(
+            corpus_arg(&args(&["--json-out", "x.json", "--no-json"])),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn retired_shard_labels_do_not_parse() {
+        for label in ["striped", "work-stealing", "steal"] {
+            assert_eq!(ShardMode::parse(label), None, "{label}");
+        }
+        assert_eq!(ShardMode::parse("by-depth"), Some(ShardMode::ByDepth));
+    }
 
     #[test]
     fn witness_text_prints_x_at_dontcare_positions_only() {
@@ -1519,10 +1573,10 @@ mod tests {
             &["p0", "p1", "p2"],
             &main,
             &other,
-            "parallel striped",
+            "parallel by-depth",
         );
         assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].contains("file::p0") && found[0].contains("parallel striped"));
+        assert!(found[0].contains("file::p0") && found[0].contains("parallel by-depth"));
         assert!(found[1].contains("file::p2"));
     }
 

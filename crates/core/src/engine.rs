@@ -545,10 +545,12 @@ impl BmcEngine {
 
     /// Attaches a cooperative cancellation flag. Once
     /// [`CancelFlag::cancel`] is raised, every in-flight solve episode
-    /// returns [`SolveResult::Unknown`] at its next budget checkpoint and
-    /// the run truncates through the [`BmcOutcome::ResourceOut`] path — the
-    /// same committed-partial-run semantics a conflict budget produces.
-    /// Portfolio racing uses this to cut losers off mid-depth.
+    /// returns [`SolveResult::Unknown`] at its next budget checkpoint, no
+    /// further episode starts, and the run truncates through the
+    /// [`BmcOutcome::ResourceOut`] path — the same committed-partial-run
+    /// semantics a conflict budget produces, in the sequential loop and
+    /// both shard modes alike. Portfolio racing uses this to cut losers off
+    /// mid-depth.
     pub fn set_cancel(&mut self, cancel: CancelFlag) {
         self.cancel = Some(cancel);
     }

@@ -3,11 +3,10 @@
 //! `update_ranking`.
 //!
 //! Every BMC scheduler runs its episodes through this module: the
-//! sequential loop of [`BmcEngine`](crate::BmcEngine), the deterministic
-//! shard modes of the `parallel` module and the relaxed ones of the
-//! `relaxed` module. They differ only in *which* instance they solve next
-//! and *when* they commit the rank table — an ordering policy over three
-//! shared pieces:
+//! sequential loop of [`BmcEngine`](crate::BmcEngine) and the two shard
+//! modes of the `parallel` module. They differ only in *which* instance
+//! they solve next and *when* they commit the rank table — an ordering
+//! policy over three shared pieces:
 //!
 //! - [`Session`] — a persistent solver with its proof certifier and a
 //!   frames-loaded cursor. [`Session::episode`] solves one property at one
@@ -58,6 +57,17 @@ impl<'a> EpisodeCtx<'a> {
             options: *options,
             limits: depth_limits(options, cancel),
         }
+    }
+
+    /// Whether the run's cancellation flag is raised. A cancelled run
+    /// starts no further episode: the solver only polls the flag between
+    /// conflicts and decisions, so an instance that falls to propagation
+    /// alone would otherwise still be decided after the cancellation.
+    fn cancelled(&self) -> bool {
+        self.limits
+            .cancel
+            .as_ref()
+            .is_some_and(CancelFlag::is_cancelled)
     }
 
     /// Installs the strategy's ranking for a depth-`k` episode: nothing for
@@ -158,10 +168,8 @@ pub(crate) struct Episode {
 }
 
 impl Episode {
-    /// A zero-cost Unknown episode. The relaxed commit walk synthesizes one
-    /// where a cancelled run left a gap a still-open property needed, so
-    /// the truncation machinery sees the same `Unknown`-at-the-cut shape a
-    /// budget exhaustion produces.
+    /// A zero-cost Unknown episode: what a cancelled run's episodes
+    /// return, and the base every concluded episode is built on.
     pub(crate) fn unknown() -> Episode {
         Episode {
             result: SolveResult::Unknown,
@@ -200,12 +208,12 @@ pub(crate) struct SessionSummary {
 /// frames loaded so far.
 ///
 /// A session is either **shared** by every property of the problem (the
-/// sequential loop, a striped worker) or **dedicated** to one (by-property
-/// and work-stealing sessions). The activation literal of property `p` at
-/// depth `k` lives above the whole unrolling's variable range
-/// (`num_vars_at(max_depth)`), so it never collides with a model variable
-/// of any depth the run reaches; each depth owns one block of slots — one
-/// per property when shared, a single one when dedicated.
+/// sequential loop) or **dedicated** to one (a by-property session). The
+/// activation literal of property `p` at depth `k` lives above the whole
+/// unrolling's variable range (`num_vars_at(max_depth)`), so it never
+/// collides with a model variable of any depth the run reaches; each depth
+/// owns one block of slots — one per property when shared, a single one
+/// when dedicated.
 pub(crate) struct Session {
     solver: Solver,
     certifier: Option<EpisodeCertifier>,
@@ -262,6 +270,9 @@ impl Session {
         p: usize,
         rank: Option<&[u64]>,
     ) -> Episode {
+        if ctx.cancelled() {
+            return Episode::unknown();
+        }
         let start = Instant::now();
         let base = self.solver.stats().clone();
         let act = self.activation_lit(ctx, k, p);
@@ -335,6 +346,9 @@ pub(crate) fn fresh_episode(
     rank: &[u64],
     load_prefix: impl FnOnce(&mut Solver),
 ) -> Episode {
+    if ctx.cancelled() {
+        return Episode::unknown();
+    }
     let start = Instant::now();
     let mut session = Session::new(&ctx.options, false);
     let solver = &mut session.solver;

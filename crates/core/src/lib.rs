@@ -107,7 +107,6 @@ mod portfolio;
 mod preprocess;
 mod problem;
 mod ranking;
-mod relaxed;
 mod shtrichman;
 mod trace;
 mod unroll;

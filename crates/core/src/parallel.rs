@@ -57,13 +57,6 @@
 //!   shared session would not (or vice versa) and the cut can land at a
 //!   different point than sequential `Session` mode. Jobs-invariance holds
 //!   regardless — the decomposition never depends on `jobs`.
-//!
-//! Beside these two deterministic grains live the **relaxed** grains
-//! ([`ShardMode::Striped`], [`ShardMode::WorkStealing`]) of the `relaxed`
-//! module, which trade the commit-order barrier for throughput:
-//! verdict-equivalent to the sequential oracle (and gated by a differential
-//! harness on exactly that contract), but with scheduling-dependent rank
-//! tables and episode costs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -92,23 +85,6 @@ pub enum ShardMode {
     /// once; the refined strategies pipeline depth-by-depth because each
     /// depth's ranking depends on the previous cores.
     ByDepth,
-    /// **Relaxed**: session solvers striped across depth residues — worker
-    /// `w` of `W` owns every depth `k ≡ w (mod W)`, keeping one warm
-    /// incremental solver (learned clauses persist across its depths) that
-    /// sweeps all properties of each owned depth. `varRank` core unions
-    /// commit through a shared table as depths *finish*, not in depth
-    /// order — commutative instead of commit-ordered, so verdicts,
-    /// retirement depths, and traces still match the sequential oracle
-    /// (they are semantic properties of each instance) but the final rank
-    /// table and the episode costs may vary with scheduling. See the
-    /// `relaxed` module docs for the exact contract.
-    Striped,
-    /// **Relaxed**: one session solver per property, rebalanced by work
-    /// stealing — idle workers steal whole property sessions from the
-    /// busiest deque, so a skewed property mix no longer serializes on the
-    /// worker that drew the expensive properties. Same relaxed contract as
-    /// [`ShardMode::Striped`].
-    WorkStealing,
 }
 
 impl ShardMode {
@@ -117,17 +93,7 @@ impl ShardMode {
         match self {
             ShardMode::ByProperty => "by-property",
             ShardMode::ByDepth => "by-depth",
-            ShardMode::Striped => "striped",
-            ShardMode::WorkStealing => "work-stealing",
         }
-    }
-
-    /// Whether this grain honors the full determinism contract (results
-    /// independent of `jobs` and scheduling, rank table included). The
-    /// relaxed grains guarantee only verdict equivalence with the
-    /// sequential oracle.
-    pub fn is_deterministic(self) -> bool {
-        matches!(self, ShardMode::ByProperty | ShardMode::ByDepth)
     }
 
     /// Parses a mode label as accepted by the CLI tools (`--shard`).
@@ -135,8 +101,6 @@ impl ShardMode {
         match label {
             "by-property" | "property" => Some(ShardMode::ByProperty),
             "by-depth" | "depth" => Some(ShardMode::ByDepth),
-            "striped" => Some(ShardMode::Striped),
-            "work-stealing" | "steal" => Some(ShardMode::WorkStealing),
             _ => None,
         }
     }
@@ -168,22 +132,6 @@ impl ParallelConfig {
             shard: ShardMode::ByDepth,
         }
     }
-
-    /// Relaxed depth-residue-striped run with `jobs` workers.
-    pub fn striped(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::Striped,
-        }
-    }
-
-    /// Relaxed work-stealing run with `jobs` workers.
-    pub fn work_stealing(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::WorkStealing,
-        }
-    }
 }
 
 /// One worker's share of a parallel run (see [`BmcRun::workers`]).
@@ -193,12 +141,10 @@ pub struct WorkerReport {
     pub worker: usize,
     /// Work items claimed: whole property sessions under
     /// [`ShardMode::ByProperty`], solve instances under
-    /// [`ShardMode::ByDepth`], owned depths under [`ShardMode::Striped`],
-    /// and session pops (one depth advance each, stolen or not) under
-    /// [`ShardMode::WorkStealing`].
+    /// [`ShardMode::ByDepth`].
     pub items: u64,
-    /// Solve episodes run by this worker, committed or not (a relaxed or
-    /// lattice worker may solve past the run's eventual cut).
+    /// Solve episodes run by this worker, committed or not (a lattice
+    /// worker may solve past the run's eventual cut).
     pub episodes: u64,
     /// Decisions over this worker's episodes.
     pub decisions: u64,
@@ -206,11 +152,7 @@ pub struct WorkerReport {
     pub conflicts: u64,
     /// Propagations over this worker's episodes.
     pub propagations: u64,
-    /// Property sessions stolen from another worker's deque
-    /// ([`ShardMode::WorkStealing`] only; 0 elsewhere).
-    pub steals: u64,
-    /// Wall-clock time of this worker: summed over its items under the
-    /// deterministic grains, its whole lifetime under the relaxed ones.
+    /// Wall-clock time of this worker, summed over its items.
     pub time: Duration,
 }
 
@@ -220,8 +162,6 @@ pub(crate) fn run_parallel(engine: &mut BmcEngine, config: ParallelConfig) -> Bm
     match config.shard {
         ShardMode::ByProperty => run_by_property(engine, jobs),
         ShardMode::ByDepth => run_by_depth(engine, jobs),
-        ShardMode::Striped => crate::relaxed::run_striped(engine, jobs),
-        ShardMode::WorkStealing => crate::relaxed::run_work_stealing(engine, jobs),
     }
 }
 
@@ -360,10 +300,8 @@ fn run_by_property(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
 
 /// Emulates the sequential control flow on per-property episode lists: the
 /// earliest (depth, property) budget exhaustion stops the whole run, so
-/// episodes past that commit point are discarded. Shared by
-/// [`ShardMode::ByProperty`] and the relaxed grains (whose episodes are
-/// reassembled per property into the same shape).
-pub(crate) fn cut_at_first_unknown(groups: &mut [Vec<Episode>]) {
+/// episodes past that commit point are discarded.
+fn cut_at_first_unknown(groups: &mut [Vec<Episode>]) {
     let cut = groups
         .iter()
         .enumerate()
@@ -581,7 +519,7 @@ fn commit_depth(
 /// commit order — depth by depth, property order within a depth, as the
 /// sequential loop folds them — together with the runs' finished session
 /// solvers. Rank commits are the scheduler's, not the merge's.
-pub(crate) fn merge_committed(
+fn merge_committed(
     unroller: &Unroller<'_>,
     groups: Vec<Vec<Episode>>,
     sessions: Vec<SessionSummary>,

@@ -8,20 +8,21 @@
 //! to predict upfront. Racing the regimes buys the per-instance minimum —
 //! at the cost of redundant work on the losers.
 //!
-//! Soundness is the same argument as the relaxed shard grains: every
-//! member is a complete, budget-free engine, so whichever finishes first
-//! reports the semantic verdict of the very instances the sequential
-//! oracle solves — falsification depths and validated traces match in
-//! every race outcome. Reproducibility is weaker still: *which member*
-//! wins depends on scheduling, and with a conflict budget the truncation
-//! point is the winner's. Member 0 is always the caller's own
-//! configuration, so a one-worker portfolio degenerates to exactly the
-//! sequential run.
+//! Soundness: every member is a complete, budget-free engine, so whichever
+//! finishes first reports the semantic verdict of the very instances the
+//! sequential oracle solves — SAT-ness of `F_k ∧ bad_p^k` is a property of
+//! the formula, not of the solver that decides it, so falsification depths
+//! and validated traces match in every race outcome. Reproducibility is
+//! weaker than the shard modes': *which member* wins depends on scheduling
+//! (and with it the rank table and the search counters), and with a
+//! conflict budget the truncation point is the winner's. Member 0 is
+//! always the caller's own configuration, so a one-worker portfolio
+//! degenerates to exactly the sequential run.
 //!
-//! Losers are stopped through the same cooperative [`CancelFlag`] the
-//! relaxed grains use: the winner flips every other member's flag, their
-//! solvers return [`Unknown`](rbmc_solver::SolveResult::Unknown) at the
-//! next conflict/decision boundary, and each cancelled run truncates
+//! Losers are stopped through the cooperative [`CancelFlag`] of
+//! [`BmcEngine::set_cancel`]: the winner flips every other member's flag,
+//! their solvers return [`Unknown`](rbmc_solver::SolveResult::Unknown) at
+//! the next conflict/decision boundary, and each cancelled run truncates
 //! through the ordinary budget machinery — no thread is ever killed.
 //!
 //! [`PortfolioMode::Full`] also races along the *engine* axis: besides the

@@ -4,12 +4,15 @@
 //! retirement depths, be bit-identical across `jobs` values (the
 //! commit-order merge makes scheduling invisible), and — where the
 //! decomposition coincides with a sequential regime — reproduce its
-//! `varRank` table bit for bit.
+//! `varRank` table bit for bit. Every portfolio roster at every worker
+//! budget must reproduce the same verdicts, with a validating trace for
+//! every counterexample; its rank table depends on which member wins, so
+//! it is not compared.
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
-    BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, ProblemBuilder, ShardMode,
-    SolveResult, SolverReuse, VerificationProblem,
+    run_portfolio, BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, PortfolioMode,
+    ProblemBuilder, PropertyVerdict, ShardMode, SolveResult, SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
@@ -124,9 +127,9 @@ fn run(
             strategy,
             reuse,
             parallel,
-            // Certify every UNSAT along the way: a relaxed or parallel mode
-            // that merely *agrees* with the oracle but derives its verdicts
-            // unsoundly is caught here, not just a verdict divergence.
+            // Certify every UNSAT along the way: a parallel mode that merely
+            // *agrees* with the oracle but derives its verdicts unsoundly is
+            // caught here, not just a verdict divergence.
             proof: refined_bmc::bmc::ProofMode::Check,
             ..BmcOptions::default()
         },
@@ -170,7 +173,7 @@ proptest! {
             // Every SAT verdict carries a validating trace in every mode;
             // validate the sequential ones once up front.
             for (idx, prop) in session.properties.iter().enumerate() {
-                if let refined_bmc::bmc::PropertyVerdict::Falsified { trace, .. } = &prop.verdict {
+                if let PropertyVerdict::Falsified { trace, .. } = &prop.verdict {
                     prop_assert!(trace
                         .validate_against(problem.netlist(), problem.property(idx).bad())
                         .is_ok());
@@ -218,18 +221,59 @@ proptest! {
                             prop_assert_eq!(&par_rank, &session_rank, "{:?} jobs={}", strategy, jobs);
                         }
                         ShardMode::ByProperty => {}
-                        // Relaxed grains are covered by
-                        // tests/relaxed_vs_deterministic.rs; this harness
-                        // only sweeps the deterministic ones.
-                        ShardMode::Striped | ShardMode::WorkStealing => {
-                            unreachable!("deterministic harness swept a relaxed shard")
-                        }
                     }
                 }
             }
             // The two sequential regimes agree on verdicts too (the PR 3/4
             // gate, re-checked here on multi-property problems).
             prop_assert_eq!(signature(&fresh), signature(&session), "{:?}", strategy);
+        }
+    }
+
+    #[test]
+    fn portfolio_races_match_the_sequential_oracle(recipe in arb_recipe()) {
+        const DEPTH: usize = 6;
+        let problem = build(&recipe);
+        let (oracle, _) = run(
+            &problem,
+            OrderingStrategy::default(),
+            SolverReuse::Session,
+            None,
+            DEPTH,
+        );
+        let base = BmcOptions {
+            max_depth: DEPTH,
+            proof: refined_bmc::bmc::ProofMode::Check,
+            ..BmcOptions::default()
+        };
+        for mode in [
+            PortfolioMode::Strategies,
+            PortfolioMode::ReuseRegimes,
+            PortfolioMode::Full,
+        ] {
+            for jobs in [1usize, 2, 4] {
+                let race = run_portfolio(&problem, &base, mode, jobs).run;
+                prop_assert_eq!(
+                    signature(&race),
+                    signature(&oracle),
+                    "portfolio-{} jobs={}",
+                    mode.label(),
+                    jobs
+                );
+                for (idx, prop) in race.properties.iter().enumerate() {
+                    if let PropertyVerdict::Falsified { trace, .. } = &prop.verdict {
+                        prop_assert!(
+                            trace
+                                .validate_against(problem.netlist(), problem.property(idx).bad())
+                                .is_ok(),
+                            "portfolio-{} jobs={} property {}: trace fails netlist replay",
+                            mode.label(),
+                            jobs,
+                            problem.property(idx).name()
+                        );
+                    }
+                }
+            }
         }
     }
 }

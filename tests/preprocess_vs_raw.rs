@@ -226,13 +226,7 @@ fn preprocessing_agrees_across_all_shard_modes_on_disjoint_cones() {
     let baseline = run(&problem, false, SolverReuse::Session, None, DEPTH);
     // reach_3 and reach_9 falsified, reach_14 falsified at 14.
     assert_eq!(baseline.num_falsified(), 3);
-    for shard in [
-        None,
-        Some(ShardMode::ByProperty),
-        Some(ShardMode::ByDepth),
-        Some(ShardMode::Striped),
-        Some(ShardMode::WorkStealing),
-    ] {
+    for shard in [None, Some(ShardMode::ByProperty), Some(ShardMode::ByDepth)] {
         let parallel = shard.map(|shard| ParallelConfig { jobs: 3, shard });
         let pp = run(&problem, true, SolverReuse::Session, parallel, DEPTH);
         assert_eq!(
