@@ -107,6 +107,32 @@ impl CnfFormula {
         self.ends.push(self.lits.len() as u32);
     }
 
+    /// Appends the clause `lits` yields, straight into the flat literal
+    /// array: an encoder can emit clauses of any width without building
+    /// each one in a buffer first. Otherwise like [`CnfFormula::add_clause`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rbmc_cnf::{CnfFormula, Var};
+    ///
+    /// let mut f = CnfFormula::new();
+    /// let out = Var::new(0).positive();
+    /// let ins = [Var::new(1).positive(), Var::new(2).negative()];
+    /// // ¬in₁ ∨ ¬in₂ ∨ out: the long clause of `out = in₁ ∧ in₂`.
+    /// f.add_clause_iter(ins.iter().map(|&l| !l).chain([out]));
+    /// assert_eq!(f.clause(0).lits(), &[!ins[0], !ins[1], out]);
+    /// assert_eq!(f.num_vars(), 3);
+    /// ```
+    pub fn add_clause_iter(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        for lit in lits {
+            self.num_vars = self.num_vars.max(lit.var().index() + 1);
+            self.lits.push(lit);
+        }
+        debug_assert!(self.lits.len() <= u32::MAX as usize, "formula too large");
+        self.ends.push(self.lits.len() as u32);
+    }
+
     /// The start offset of clause `index` in the flat literal array.
     #[inline]
     fn start(&self, index: usize) -> usize {

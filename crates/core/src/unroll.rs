@@ -371,6 +371,10 @@ impl<'a> Unroller<'a> {
     }
 
     /// Full Tseitin encoding of one gate (output variable ⟷ gate function).
+    ///
+    /// Every clause goes straight into `formula`'s flat literal array (no
+    /// buffer per gate or per clause), and each op has one encoding for any
+    /// arity.
     fn emit_gate(
         &self,
         id: NodeId,
@@ -380,48 +384,42 @@ impl<'a> Unroller<'a> {
         formula: &mut CnfFormula,
     ) {
         let out = self.var_of(id, frame).positive();
-        let ins: Vec<Lit> = fanins.iter().map(|&s| self.lit_of(s, frame)).collect();
+        let ins = fanins.iter().map(|&s| self.lit_of(s, frame));
         match op {
             GateOp::And => {
                 // out → each input; all inputs → out.
-                let mut long = Vec::with_capacity(ins.len() + 1);
-                for &lit in &ins {
+                for lit in ins.clone() {
                     formula.add_clause([!out, lit]);
-                    long.push(!lit);
                 }
-                long.push(out);
-                formula.add_clause(long);
+                formula.add_clause_iter(ins.map(|lit| !lit).chain([out]));
             }
             GateOp::Or => {
-                let mut long = Vec::with_capacity(ins.len() + 1);
-                for &lit in &ins {
+                for lit in ins.clone() {
                     formula.add_clause([out, !lit]);
-                    long.push(lit);
                 }
-                long.push(!out);
-                formula.add_clause(long);
+                formula.add_clause_iter(ins.chain([!out]));
             }
             GateOp::Xor => {
                 assert!(
-                    ins.len() <= 12,
+                    fanins.len() <= 12,
                     "XOR arity {} too wide for direct CNF enumeration",
-                    ins.len()
+                    fanins.len()
                 );
                 // Forbid every assignment where out ≠ parity(inputs).
-                for bits in 0u32..1 << ins.len() {
+                for bits in 0u32..1 << fanins.len() {
                     let parity = bits.count_ones() % 2 == 1;
-                    // Block (inputs = bits, out = !parity).
-                    let mut clause = Vec::with_capacity(ins.len() + 1);
-                    for (i, &lit) in ins.iter().enumerate() {
-                        // Literal that is false under this input combination.
-                        clause.push(if bits >> i & 1 == 1 { !lit } else { lit });
-                    }
-                    clause.push(if parity { out } else { !out });
-                    formula.add_clause(clause);
+                    // Block (inputs = bits, out = !parity): each input
+                    // literal false under this combination, then the
+                    // output literal false under it.
+                    let blocked =
+                        ins.clone()
+                            .enumerate()
+                            .map(|(i, lit)| if bits >> i & 1 == 1 { !lit } else { lit });
+                    formula.add_clause_iter(blocked.chain([if parity { out } else { !out }]));
                 }
             }
             GateOp::Mux => {
-                let (s, a, b) = (ins[0], ins[1], ins[2]);
+                let [s, a, b] = [0, 1, 2].map(|i| self.lit_of(fanins[i], frame));
                 formula.add_clause([!s, !a, out]);
                 formula.add_clause([!s, a, !out]);
                 formula.add_clause([s, !b, out]);
@@ -805,5 +803,136 @@ mod tests {
         assert_eq!(unroller.num_vars_at(0), n);
         assert_eq!(unroller.num_vars_at(4), 5 * n);
         assert_eq!(unroller.formula(4).num_vars(), 5 * n);
+    }
+
+    /// The encoder golden netlist: zero/one/free latch inits feeding 2- and
+    /// 3-ary AND, 2-ary XOR and a MUX. The public netlist builders never
+    /// create OR nodes or XORs wider than two, so those ops are pinned on
+    /// top through direct gate emission (see `golden_clause_stream`).
+    fn golden_model() -> Model {
+        let mut n = Netlist::new();
+        let i0 = n.add_input("i0");
+        let i1 = n.add_input("i1");
+        let z = n.add_latch("z", LatchInit::Zero);
+        let o = n.add_latch("o", LatchInit::One);
+        let f = n.add_latch("f", LatchInit::Free);
+        let a2 = n.and2(i0, !z);
+        let a3 = n.and_many(&[i1, o, !f]);
+        let x2 = n.xor2(a2, f);
+        let m = n.mux(i0, a3, !x2);
+        n.set_next(z, x2);
+        n.set_next(o, !m);
+        n.set_next(f, a3);
+        let bad = n.and2(m, z);
+        Model::new("golden", n, bad)
+    }
+
+    /// Frames `0..=2` of the golden model as emitted, then per frame the
+    /// OR (2- and 3-ary) and 3-ary XOR encodings of every gate's output
+    /// variable, one DIMACS clause per line.
+    fn golden_clause_stream() -> String {
+        let model = golden_model();
+        let unroller = Unroller::new(&model);
+        let mut f = CnfFormula::new();
+        unroller.with_prefix(2, |clauses| {
+            for clause in clauses {
+                f.add_clause(clause);
+            }
+        });
+        let gates: Vec<(NodeId, Vec<Signal>)> = model
+            .netlist()
+            .node_ids()
+            .filter_map(|id| match model.netlist().node(id) {
+                Node::Gate { fanins, .. } => Some((id, fanins.clone())),
+                _ => None,
+            })
+            .collect();
+        let netlist = model.netlist();
+        for frame in 0..=2 {
+            for (id, fanins) in &gates {
+                // A third fanin from outside the gate's own support.
+                let extra = netlist
+                    .latches()
+                    .into_iter()
+                    .chain(netlist.inputs())
+                    .find(|n| fanins.iter().all(|s| s.node() != *n))
+                    .expect("the golden model has a spare register or input");
+                let wide = [fanins[0], !fanins[1], extra.signal()];
+                unroller.emit_gate(*id, GateOp::Or, &fanins[..2], frame, &mut f);
+                unroller.emit_gate(*id, GateOp::Or, &wide, frame, &mut f);
+                unroller.emit_gate(*id, GateOp::Xor, &wide, frame, &mut f);
+            }
+        }
+        let mut out = String::new();
+        for clause in &f {
+            for lit in clause.lits() {
+                out.push_str(&lit.to_dimacs().to_string());
+                out.push(' ');
+            }
+            out.push_str("0\n");
+        }
+        out
+    }
+
+    /// The clause stream of `golden_clause_stream`, pinned when the
+    /// encoder still built every clause in its own `Vec` (DIMACS literals,
+    /// each clause closed by `0`).
+    const GOLDEN_STREAM: &str = "\
+-1 0  -4 0  5 0  -7 2 0  -7 -4 0  -2 4 7 0  -8 3 0  -8 5 0  -8 -6 0  -3 -5 6 8 0
+7 6 -9 0  -7 6 9 0  7 -6 9 0  -7 -6 -9 0  -2 -8 10 0  -2 8 -10 0  2 9 10 0  2 -9 -10 0
+-8 9 10 0  8 -9 -10 0  -11 10 0  -11 4 0  -10 -4 11 0  -12 0  -15 9 0  15 -9 0  -16 -10 0
+16 10 0  -17 8 0  17 -8 0  -18 13 0  -18 -15 0  -13 15 18 0  -19 14 0  -19 16 0
+-19 -17 0  -14 -16 17 19 0  18 17 -20 0  -18 17 20 0  18 -17 20 0  -18 -17 -20 0
+-13 -19 21 0  -13 19 -21 0  13 20 21 0  13 -20 -21 0  -19 20 21 0  19 -20 -21 0  -22 21 0
+-22 15 0  -21 -15 22 0  -23 0  -26 20 0  26 -20 0  -27 -21 0  27 21 0  -28 19 0  28 -19 0
+-29 24 0  -29 -26 0  -24 26 29 0  -30 25 0  -30 27 0  -30 -28 0  -25 -27 28 30 0
+29 28 -31 0  -29 28 31 0  29 -28 31 0  -29 -28 -31 0  -24 -30 32 0  -24 30 -32 0
+24 31 32 0  24 -31 -32 0  -30 31 32 0  30 -31 -32 0  -33 32 0  -33 26 0  -32 -26 33 0
+7 -2 0  7 4 0  2 -4 -7 0  7 -2 0  7 -4 0  7 -5 0  2 4 5 -7 0  2 4 5 -7 0  -2 4 5 7 0
+2 -4 5 7 0  -2 -4 5 -7 0  2 4 -5 7 0  -2 4 -5 -7 0  2 -4 -5 -7 0  -2 -4 -5 7 0  8 -3 0
+8 -5 0  3 5 -8 0  8 -3 0  8 5 0  8 -4 0  3 -5 4 -8 0  3 -5 4 -8 0  -3 -5 4 8 0  3 5 4 8 0
+-3 5 4 -8 0  3 -5 -4 8 0  -3 -5 -4 -8 0  3 5 -4 -8 0  -3 5 -4 8 0  9 -7 0  9 -6 0
+7 6 -9 0  9 -7 0  9 6 0  9 -4 0  7 -6 4 -9 0  7 -6 4 -9 0  -7 -6 4 9 0  7 6 4 9 0
+-7 6 4 -9 0  7 -6 -4 9 0  -7 -6 -4 -9 0  7 6 -4 -9 0  -7 6 -4 9 0  10 -2 0  10 -8 0
+2 8 -10 0  10 -2 0  10 8 0  10 -4 0  2 -8 4 -10 0  2 -8 4 -10 0  -2 -8 4 10 0  2 8 4 10 0
+-2 8 4 -10 0  2 -8 -4 10 0  -2 -8 -4 -10 0  2 8 -4 -10 0  -2 8 -4 10 0  11 -10 0  11 -4 0
+10 4 -11 0  11 -10 0  11 4 0  11 -5 0  10 -4 5 -11 0  10 -4 5 -11 0  -10 -4 5 11 0
+10 4 5 11 0  -10 4 5 -11 0  10 -4 -5 11 0  -10 -4 -5 -11 0  10 4 -5 -11 0  -10 4 -5 11 0
+18 -13 0  18 15 0  13 -15 -18 0  18 -13 0  18 -15 0  18 -16 0  13 15 16 -18 0
+13 15 16 -18 0  -13 15 16 18 0  13 -15 16 18 0  -13 -15 16 -18 0  13 15 -16 18 0
+-13 15 -16 -18 0  13 -15 -16 -18 0  -13 -15 -16 18 0  19 -14 0  19 -16 0  14 16 -19 0
+19 -14 0  19 16 0  19 -15 0  14 -16 15 -19 0  14 -16 15 -19 0  -14 -16 15 19 0
+14 16 15 19 0  -14 16 15 -19 0  14 -16 -15 19 0  -14 -16 -15 -19 0  14 16 -15 -19 0
+-14 16 -15 19 0  20 -18 0  20 -17 0  18 17 -20 0  20 -18 0  20 17 0  20 -15 0
+18 -17 15 -20 0  18 -17 15 -20 0  -18 -17 15 20 0  18 17 15 20 0  -18 17 15 -20 0
+18 -17 -15 20 0  -18 -17 -15 -20 0  18 17 -15 -20 0  -18 17 -15 20 0  21 -13 0  21 -19 0
+13 19 -21 0  21 -13 0  21 19 0  21 -15 0  13 -19 15 -21 0  13 -19 15 -21 0
+-13 -19 15 21 0  13 19 15 21 0  -13 19 15 -21 0  13 -19 -15 21 0  -13 -19 -15 -21 0
+13 19 -15 -21 0  -13 19 -15 21 0  22 -21 0  22 -15 0  21 15 -22 0  22 -21 0  22 15 0
+22 -16 0  21 -15 16 -22 0  21 -15 16 -22 0  -21 -15 16 22 0  21 15 16 22 0
+-21 15 16 -22 0  21 -15 -16 22 0  -21 -15 -16 -22 0  21 15 -16 -22 0  -21 15 -16 22 0
+29 -24 0  29 26 0  24 -26 -29 0  29 -24 0  29 -26 0  29 -27 0  24 26 27 -29 0
+24 26 27 -29 0  -24 26 27 29 0  24 -26 27 29 0  -24 -26 27 -29 0  24 26 -27 29 0
+-24 26 -27 -29 0  24 -26 -27 -29 0  -24 -26 -27 29 0  30 -25 0  30 -27 0  25 27 -30 0
+30 -25 0  30 27 0  30 -26 0  25 -27 26 -30 0  25 -27 26 -30 0  -25 -27 26 30 0
+25 27 26 30 0  -25 27 26 -30 0  25 -27 -26 30 0  -25 -27 -26 -30 0  25 27 -26 -30 0
+-25 27 -26 30 0  31 -29 0  31 -28 0  29 28 -31 0  31 -29 0  31 28 0  31 -26 0
+29 -28 26 -31 0  29 -28 26 -31 0  -29 -28 26 31 0  29 28 26 31 0  -29 28 26 -31 0
+29 -28 -26 31 0  -29 -28 -26 -31 0  29 28 -26 -31 0  -29 28 -26 31 0  32 -24 0  32 -30 0
+24 30 -32 0  32 -24 0  32 30 0  32 -26 0  24 -30 26 -32 0  24 -30 26 -32 0
+-24 -30 26 32 0  24 30 26 32 0  -24 30 26 -32 0  24 -30 -26 32 0  -24 -30 -26 -32 0
+24 30 -26 -32 0  -24 30 -26 32 0  33 -32 0  33 -26 0  32 26 -33 0  33 -32 0  33 26 0
+33 -27 0  32 -26 27 -33 0  32 -26 27 -33 0  -32 -26 27 33 0  32 26 27 33 0
+-32 26 27 -33 0  32 -26 -27 33 0  -32 -26 -27 -33 0  32 26 -27 -33 0  -32 26 -27 33 0";
+
+    #[test]
+    fn encoder_emits_the_pinned_clause_stream() {
+        let stream = golden_clause_stream();
+        let got: Vec<&str> = stream.split_whitespace().collect();
+        let want: Vec<&str> = GOLDEN_STREAM.split_whitespace().collect();
+        assert_eq!(got.len(), want.len(), "stream length");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "token {i} of the clause stream");
+        }
     }
 }

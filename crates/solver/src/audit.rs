@@ -114,24 +114,38 @@ impl Solver {
         Ok(headers)
     }
 
-    /// Watch-list consistency: every live clause of length ≥ 2 is watched
-    /// exactly once under each of its slot-0/slot-1 literals — in the binary
-    /// tier with the *other* literal inlined as `implied`, or in the long
-    /// tier with a blocker drawn from the clause body — and nothing else in
-    /// any list references it.
+    /// Watch-store consistency. Layout first: each pool has one list per
+    /// literal, its segments lie inside its buffer without overlapping, and
+    /// owned plus dead room is exactly the buffer. Then contents: every live
+    /// clause of length ≥ 2 is watched exactly once under each of its
+    /// slot-0/slot-1 literals — in the binary tier with the *other* literal
+    /// inlined as `implied`, or in the long tier with a blocker drawn from
+    /// the clause body — and nothing else in any list references it.
     fn audit_watches(&self, headers: &HashSet<u32>) -> Result<(), String> {
-        if self.watches.len() != 2 * self.num_vars() {
-            fail!(
-                "watches: {} lists for {} vars",
-                self.watches.len(),
-                self.num_vars()
-            );
+        for (tier, lists, layout) in [
+            (
+                "bin",
+                self.bin_watches.num_lists(),
+                self.bin_watches.audit_layout(),
+            ),
+            (
+                "long",
+                self.long_watches.num_lists(),
+                self.long_watches.audit_layout(),
+            ),
+        ] {
+            if lists != 2 * self.num_vars() {
+                fail!("watches: {lists} {tier} lists for {} vars", self.num_vars());
+            }
+            if let Err(e) = layout {
+                fail!("watches: {tier} pool: {e}");
+            }
         }
         // offset -> watching literal codes seen so far.
         let mut seen: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (code, lists) in self.watches.iter().enumerate() {
+        for code in 0..2 * self.num_vars() {
             let watcher = Lit::from_code(code);
-            for w in &lists.bins {
+            for w in self.bin_watches.list(code) {
                 let cref = w.clause;
                 if !headers.contains(&cref.offset()) {
                     fail!("watches: bin entry at non-header offset {}", cref.offset());
@@ -170,7 +184,7 @@ impl Solver {
                 }
                 seen.entry(cref.offset()).or_default().push(code);
             }
-            for w in &lists.longs {
+            for w in self.long_watches.list(code) {
                 let cref = w.clause;
                 if !headers.contains(&cref.offset()) {
                     fail!("watches: long entry at non-header offset {}", cref.offset());
@@ -505,11 +519,8 @@ mod tests {
     fn audit_flags_missing_watch_entry() {
         let mut s = Solver::from_formula(&sat_formula());
         s.audit().expect("clean before tampering");
-        for wl in &mut s.watches {
-            if wl.bins.pop().is_some() {
-                break;
-            }
-        }
+        let dropped = (0..2 * s.num_vars()).any(|code| s.bin_watches.drop_last_for_test(code));
+        assert!(dropped, "the formula has binary watches");
         let err = s.audit().expect_err("dropped watch must fail");
         assert!(err.contains("watches"), "unexpected report: {err}");
     }
@@ -517,14 +528,41 @@ mod tests {
     #[test]
     fn audit_flags_bad_implied_literal() {
         let mut s = Solver::from_formula(&sat_formula());
-        for wl in &mut s.watches {
-            if let Some(w) = wl.bins.first_mut() {
-                w.implied = !w.implied;
-                break;
-            }
-        }
+        let code = (0..2 * s.num_vars())
+            .find(|&code| !s.bin_watches.list(code).is_empty())
+            .expect("the formula has binary watches");
+        let w = &mut s.bin_watches.list_mut(code)[0];
+        w.implied = !w.implied;
         let err = s.audit().expect_err("wrong implied literal must fail");
         assert!(err.contains("implied"), "unexpected report: {err}");
+    }
+
+    #[test]
+    fn audit_flags_overlapping_watch_segments() {
+        let mut s = Solver::from_formula(&sat_formula());
+        s.audit().expect("clean before tampering");
+        s.long_watches.overlap_first_two_for_test();
+        let err = s.audit().expect_err("overlapping segments must fail");
+        assert!(err.contains("overlap"), "unexpected report: {err}");
+    }
+
+    #[test]
+    fn audit_accounts_dead_room_after_relocations() {
+        // Enough binary clauses on one literal to relocate its list several
+        // times; the audit must balance the buffer's dead room before and
+        // after compaction.
+        let mut f = CnfFormula::with_vars(12);
+        for v in 1..12 {
+            f.add_clause([lit(0, false), lit(v, false)]);
+        }
+        let mut s = Solver::from_formula(&f);
+        assert!(s.bin_watches.dead_slots() > 0, "the hub list relocated");
+        s.audit().expect("dead room accounted before compaction");
+        s.bin_watches.compact();
+        assert_eq!(s.bin_watches.dead_slots(), 0);
+        s.audit().expect("clean after compaction");
+        assert_eq!(s.solve(), SolveResult::Sat);
+        s.audit().expect("clean after solving");
     }
 
     /// Minimal [`ProofLog`] that tracks exactly the bookkeeping

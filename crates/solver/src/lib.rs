@@ -50,6 +50,7 @@ mod proof;
 mod reference;
 mod solver;
 mod stats;
+mod watch;
 
 pub use lbool::LBool;
 pub use limits::{CancelFlag, Limits};

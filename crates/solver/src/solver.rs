@@ -4,12 +4,13 @@
 use std::fmt;
 use std::time::Instant;
 
-use rbmc_cnf::{Clause, CnfFormula, Lit, Var};
+use rbmc_cnf::{CnfFormula, Lit, Var};
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::cdg::{Cdg, ClauseId};
 use crate::order::LitOrder;
 use crate::proof::ProofLog;
+use crate::watch::WatchPool;
 use crate::{LBool, Limits, OrderMode, SolverStats};
 
 // The auditor is a child module so it can read the solver's private fields
@@ -98,14 +99,6 @@ struct BinWatch {
     implied: Lit,
 }
 
-/// The two-tier watch lists of one literal: binary clauses (implied literal
-/// inline) and long clauses (blocker watches over the arena).
-#[derive(Debug, Default)]
-struct WatchLists {
-    bins: Vec<BinWatch>,
-    longs: Vec<LongWatch>,
-}
-
 /// A Chaff-style CDCL SAT solver (see the crate docs for the feature list).
 ///
 /// # Examples
@@ -145,7 +138,11 @@ pub struct Solver {
     /// Total literal occurrences in the original formula — the paper's
     /// "number of original literals" used by the dynamic switch.
     num_original_lits: u64,
-    watches: Vec<WatchLists>,
+    /// Binary-tier watch lists, one per literal code (implied literal inline).
+    bin_watches: WatchPool<BinWatch>,
+    /// Long-tier watch lists, one per literal code (blocker watches over the
+    /// arena).
+    long_watches: WatchPool<LongWatch>,
     values: Vec<LBool>,
     levels: Vec<u32>,
     reasons: Vec<Option<ClauseRef>>,
@@ -189,6 +186,8 @@ pub struct Solver {
     reduce_threshold: u64,
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch for [`Solver::add_clause`]'s normalized literal list.
+    add_scratch: Vec<Lit>,
     /// Scratch antecedent list of level-0 unit-fact CDG nodes (reused so a
     /// level-0 implication records its node allocation-free).
     unit_ants: Vec<ClauseId>,
@@ -236,7 +235,8 @@ impl Solver {
             num_original: 0,
             first_learned: 0,
             num_original_lits: 0,
-            watches: Vec::new(),
+            bin_watches: WatchPool::default(),
+            long_watches: WatchPool::default(),
             values: Vec::new(),
             levels: Vec::new(),
             reasons: Vec::new(),
@@ -265,6 +265,7 @@ impl Solver {
             live_learned: 0,
             reduce_threshold: opts.reduce_base,
             seen: Vec::new(),
+            add_scratch: Vec::new(),
             unit_ants: Vec::new(),
             conflict_ants: Vec::new(),
             proof: None,
@@ -298,7 +299,8 @@ impl Solver {
         self.reasons.resize(num_vars, None);
         self.unit_node.resize(num_vars, None);
         self.seen.resize(num_vars, false);
-        self.watches.resize_with(2 * num_vars, WatchLists::default);
+        self.bin_watches.grow(2 * num_vars);
+        self.long_watches.grow(2 * num_vars);
         self.order.grow(num_vars);
     }
 
@@ -348,11 +350,17 @@ impl Solver {
             self.order.add_initial_count(lit, 1);
         }
 
-        let clause = Clause::new(lits.to_vec());
-        let (mut stored, tautology) = match clause.normalized() {
-            None => (Vec::new(), true),
-            Some(n) => (n.into_lits(), false),
-        };
+        // Normalize (sorted, duplicate-free) in the reusable scratch; a
+        // tautology is stored body-less.
+        let mut stored = std::mem::take(&mut self.add_scratch);
+        stored.clear();
+        stored.extend_from_slice(lits);
+        stored.sort_unstable();
+        stored.dedup();
+        let tautology = stored.windows(2).any(|w| w[0] == !w[1]);
+        if tautology {
+            stored.clear();
+        }
         let input_pos = self.original_refs.len() as u32;
         let cdg_id = if self.opts.record_cdg {
             self.cdg.record_original(input_pos)
@@ -424,6 +432,7 @@ impl Solver {
                 _ => {}
             }
         }
+        self.add_scratch = stored;
         self.num_original = self.original_refs.len();
         self.note_arena_peak();
     }
@@ -589,6 +598,7 @@ impl Solver {
 
         // --- episode setup -------------------------------------------------
         self.backtrack(0);
+        self.compact_watches();
         self.result = None;
         self.model = None;
         self.core = None;
@@ -635,7 +645,7 @@ impl Solver {
         let scores = std::mem::take(&mut self.bmc_scores);
         self.order.set_bmc_scores(&scores, use_bmc);
         self.bmc_scores = scores;
-        self.order.rebuild(&self.values);
+        self.refresh_order();
 
         loop {
             if let Some(conflict) = self.propagate() {
@@ -834,23 +844,35 @@ impl Solver {
     fn watch_clause(&mut self, cref: ClauseRef, len: usize, l0: Lit, l1: Lit) {
         debug_assert!(len >= 2);
         if len == 2 {
-            self.watches[l0.code()].bins.push(BinWatch {
-                clause: cref,
-                implied: l1,
-            });
-            self.watches[l1.code()].bins.push(BinWatch {
-                clause: cref,
-                implied: l0,
-            });
+            self.bin_watches.push(
+                l0.code(),
+                BinWatch {
+                    clause: cref,
+                    implied: l1,
+                },
+            );
+            self.bin_watches.push(
+                l1.code(),
+                BinWatch {
+                    clause: cref,
+                    implied: l0,
+                },
+            );
         } else {
-            self.watches[l0.code()].longs.push(LongWatch {
-                clause: cref,
-                blocker: l1,
-            });
-            self.watches[l1.code()].longs.push(LongWatch {
-                clause: cref,
-                blocker: l0,
-            });
+            self.long_watches.push(
+                l0.code(),
+                LongWatch {
+                    clause: cref,
+                    blocker: l1,
+                },
+            );
+            self.long_watches.push(
+                l1.code(),
+                LongWatch {
+                    clause: cref,
+                    blocker: l0,
+                },
+            );
         }
     }
 
@@ -895,36 +917,40 @@ impl Solver {
     }
 
     /// Watched-literal BCP. Returns the conflicting clause, if any.
+    ///
+    /// `¬p`'s lists are walked by buffer position. Nothing moves them
+    /// meanwhile: enqueueing touches no watch, a replacement watch is
+    /// pushed to a *non-false* literal's list (never `¬p`'s), and pool
+    /// compaction only runs outside propagation.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = !p;
-            let mut conflict = None;
+            let code = false_lit.code();
+            // Both tiers' segments up front: their loads overlap instead of
+            // the long tier's waiting behind the binary walk.
+            let bins = self.bin_watches.segment(code);
+            let longs = self.long_watches.segment(code);
 
             // Binary tier: unit/conflict decided from the watcher alone.
-            let bins = std::mem::take(&mut self.watches[false_lit.code()].bins);
-            for w in &bins {
+            for i in 0..bins.len as usize {
+                let w = self.bin_watches.entry(bins.at(i));
                 match self.lit_value(w.implied) {
                     LBool::True => {}
                     LBool::Undef => self.enqueue(w.implied, Some(w.clause)),
                     LBool::False => {
-                        conflict = Some(w.clause);
-                        break;
+                        self.qhead = self.trail.len();
+                        return Some(w.clause);
                     }
                 }
             }
-            self.watches[false_lit.code()].bins = bins;
-            if conflict.is_some() {
-                self.qhead = self.trail.len();
-                return conflict;
-            }
 
             // Long tier: blocker watches over the arena.
-            let mut ws = std::mem::take(&mut self.watches[false_lit.code()].longs);
+            let mut len = longs.len as usize;
             let mut i = 0;
-            'watches: while i < ws.len() {
-                let w = ws[i];
+            'watches: while i < len {
+                let w = self.long_watches.entry(longs.at(i));
                 // A true blocker satisfies the clause.
                 if self.lit_value(w.blocker) == LBool::True {
                     i += 1;
@@ -938,7 +964,7 @@ impl Solver {
                 debug_assert_eq!(self.clauses.lit(cref, 1), false_lit);
                 let first = self.clauses.lit(cref, 0);
                 if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[i].blocker = first;
+                    self.long_watches.entry_mut(longs.at(i)).blocker = first;
                     i += 1;
                     continue;
                 }
@@ -947,26 +973,25 @@ impl Solver {
                     let candidate = self.clauses.lit(cref, k);
                     if self.lit_value(candidate) != LBool::False {
                         self.clauses.swap_lits(cref, 1, k);
-                        self.watches[candidate.code()].longs.push(LongWatch {
-                            clause: cref,
-                            blocker: first,
-                        });
-                        ws.swap_remove(i);
+                        self.long_watches.push(
+                            candidate.code(),
+                            LongWatch {
+                                clause: cref,
+                                blocker: first,
+                            },
+                        );
+                        self.long_watches.swap_remove(code, i);
+                        len -= 1;
                         continue 'watches;
                     }
                 }
                 // No replacement: unit or conflict on `first`.
                 if self.lit_value(first) == LBool::False {
-                    conflict = Some(cref);
                     self.qhead = self.trail.len();
-                    break;
+                    return Some(cref);
                 }
                 self.enqueue(first, Some(cref));
                 i += 1;
-            }
-            self.watches[false_lit.code()].longs = ws;
-            if conflict.is_some() {
-                return conflict;
             }
         }
         None
@@ -1102,13 +1127,23 @@ impl Solver {
         self.qhead = new_len;
     }
 
+    /// Brings the decision heap up to date with every score change since
+    /// the last refresh (see [`LitOrder::rebuild`]).
+    fn refresh_order(&mut self) {
+        self.order.rebuild(&self.values);
+        #[cfg(feature = "debug-invariants")]
+        self.order
+            .audit(&self.values)
+            .expect("decision heap invariants violated after refresh");
+    }
+
     /// Periodic work after each conflict: score halving, restarts, clause
     /// database reduction.
     fn after_conflict_housekeeping(&mut self) {
         if self.stats.conflicts - self.conflicts_at_last_halve >= self.opts.halve_interval {
             self.conflicts_at_last_halve = self.stats.conflicts;
             self.order.halve_scores();
-            self.order.rebuild(&self.values);
+            self.refresh_order();
             self.stats.score_halvings += 1;
         }
         if self.opts.luby_unit > 0 {
@@ -1235,9 +1270,17 @@ impl Solver {
         }
         // Halve activities so future reductions favour recent relevance.
         self.clauses.halve_learned_activities(self.first_learned);
+        self.compact_watches();
         #[cfg(feature = "debug-invariants")]
         self.audit()
             .expect("solver invariants violated after compaction");
+    }
+
+    /// Compacts each watch pool whose dead room has grown past its bound
+    /// (see [`WatchPool::maybe_compact`]). Never called during propagation.
+    fn compact_watches(&mut self) {
+        self.bin_watches.maybe_compact();
+        self.long_watches.maybe_compact();
     }
 
     /// Removes the two watch entries of `cref` (about to be deleted). Its
@@ -1249,22 +1292,23 @@ impl Solver {
             return;
         }
         for slot in 0..2 {
-            let lit = self.clauses.lit(cref, slot);
-            let wl = &mut self.watches[lit.code()];
+            let code = self.clauses.lit(cref, slot).code();
             if len == 2 {
-                let i = wl
-                    .bins
+                let i = self
+                    .bin_watches
+                    .list(code)
                     .iter()
                     .position(|w| w.clause == cref)
                     .expect("deleted binary clause is watched on slots 0/1");
-                wl.bins.swap_remove(i);
+                self.bin_watches.swap_remove(code, i);
             } else {
-                let i = wl
-                    .longs
+                let i = self
+                    .long_watches
+                    .list(code)
                     .iter()
                     .position(|w| w.clause == cref)
                     .expect("deleted long clause is watched on slots 0/1");
-                wl.longs.swap_remove(i);
+                self.long_watches.swap_remove(code, i);
             }
         }
     }
@@ -1273,17 +1317,18 @@ impl Solver {
     /// arena offset `old` to `new`.
     fn repair_watch(&mut self, lit: Lit, len: usize, old: u32, new: u32) {
         let old_ref = ClauseRef::at(old);
-        let wl = &mut self.watches[lit.code()];
         if len == 2 {
-            let w = wl
-                .bins
+            let w = self
+                .bin_watches
+                .list_mut(lit.code())
                 .iter_mut()
                 .find(|w| w.clause == old_ref)
                 .expect("relocated binary clause is watched on slots 0/1");
             w.clause = ClauseRef::at(new);
         } else {
-            let w = wl
-                .longs
+            let w = self
+                .long_watches
+                .list_mut(lit.code())
                 .iter_mut()
                 .find(|w| w.clause == old_ref)
                 .expect("relocated long clause is watched on slots 0/1");
@@ -1313,7 +1358,7 @@ impl Solver {
                 self.switched = true;
                 self.stats.switched_to_vsids = true;
                 self.order.disable_bmc();
-                self.order.rebuild(&self.values);
+                self.refresh_order();
             }
         }
     }
