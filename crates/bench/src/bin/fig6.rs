@@ -9,17 +9,19 @@
 //! Usage: `cargo run -p rbmc-bench --release --bin fig6 [-- --divisor N] [--smoke]
 //! [--json-out PATH | --no-json]`
 
-use rbmc_bench::{run_instance, BenchCase, BenchReport};
+use rbmc_bench::{run_instance, usage_error, BenchCase, BenchReport};
 use rbmc_core::{OrderingStrategy, Weighting};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let divisor: u32 = args
-        .iter()
-        .position(|a| a == "--divisor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    rbmc_bench::check_flags(
+        &args,
+        &["--divisor", "--json-out"],
+        &["--smoke", "--small", "--no-json"],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
+    let divisor: u32 =
+        rbmc_bench::numeric_flag(&args, "--divisor", 64).unwrap_or_else(|e| usage_error(&e));
     let suite = rbmc_bench::cli_suite(&args);
     let mut report = BenchReport::new(format!("fig6 (divisor={divisor})"));
 

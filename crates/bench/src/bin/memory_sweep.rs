@@ -34,19 +34,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rbmc_bench::{BenchCase, BenchReport};
+use rbmc_bench::{flag_value, numeric_flag, usage_error, BenchCase, BenchReport};
 use rbmc_circuit::{LatchInit, Netlist, Signal};
 use rbmc_core::{
     preprocess_problem, BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ProblemBuilder,
     PropertyVerdict, SolveResult, SolverReuse, Trace, VerificationProblem,
 };
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 /// One instance of the sweep: the problem, its depth bound, and whether the
 /// fixture is COI-reducible (the reduction claims below only apply to those).
@@ -192,8 +185,15 @@ fn reduction_pct(raw: u64, reduced: u64) -> f64 {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    rbmc_bench::check_flags(
+        &args,
+        &["--depth", "--json-out"],
+        &["--smoke", "--small", "--no-json"],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
-    let depth_override: Option<usize> = flag_value(&args, "--depth").and_then(|v| v.parse().ok());
+    let depth_override: Option<usize> = flag_value(&args, "--depth")
+        .map(|_| numeric_flag(&args, "--depth", 0).unwrap_or_else(|e| usage_error(&e)));
 
     let mut instances = vec![
         disjoint_cones("disjoint_3x4", 3, 4, 8, depth_override.unwrap_or(15)),

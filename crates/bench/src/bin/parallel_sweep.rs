@@ -4,8 +4,8 @@
 //! For each worker budget in the jobs list (default `1,2,4`) the binary
 //! sweeps every AIGER benchmark of the corpus the way `rbmc --jobs N` does:
 //! files striped across `N` workers, each file's engine running with
-//! [`ParallelConfig`] (property-sharded sessions for multi-property files —
-//! single-property files simply occupy one worker). The `jobs=1`
+//! [`ParallelConfig`] (one depth loop per property for multi-property files
+//! — single-property files simply occupy one worker). The `jobs=1`
 //! configuration is the plain sequential engine and serves as the baseline;
 //! every configuration's verdicts are cross-checked against it, so the
 //! artifact doubles as a determinism gate.
@@ -20,8 +20,7 @@
 //!
 //! ```text
 //! parallel_sweep [DIR] [--smoke] [--depth N] [--jobs-list 1,2,4]
-//!                [--shard by-property|by-depth] [--no-preprocess]
-//!                [--modes deterministic,portfolio]
+//!                [--no-preprocess] [--modes deterministic,portfolio]
 //!                [--jobs N] [--repeat N]
 //!                [--json-out PATH | --no-json]
 //! ```
@@ -42,22 +41,63 @@
 //!
 //! Without a positional corpus directory, the gens suite is exported to
 //! `target/parallel-corpus` and swept from there.
+//!
+//! The command line fails closed: an unknown `--flag`, a value flag without
+//! its value, or a malformed number or list exits with status 2 before
+//! anything runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rbmc_bench::{BenchCase, BenchReport};
+use rbmc_bench::{flag_value, numeric_flag, usage_error, BenchCase, BenchReport};
 use rbmc_core::{
     run_portfolio, BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, PortfolioMode,
-    ProblemBuilder, ShardMode, SolveResult,
+    ProblemBuilder, SolveResult,
 };
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--depth",
+    "--jobs-list",
+    "--modes",
+    "--jobs",
+    "--repeat",
+    "--json-out",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--smoke", "--small", "--no-preprocess", "--no-json"];
+
+/// The `--jobs-list` worker budgets (default `1,2,4`): positive integers,
+/// comma-separated. Any other entry is an error, not skipped.
+fn jobs_list(args: &[String]) -> Result<Vec<usize>, String> {
+    let Some(list) = flag_value(args, "--jobs-list") else {
+        return Ok(vec![1, 2, 4]);
+    };
+    list.split(',')
+        .map(|jobs| match jobs.trim().parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "--jobs-list requires a comma-separated list of positive integers, got `{list}`"
+            )),
+        })
+        .collect()
+}
+
+/// The `--modes` list of the mode comparison. The deterministic sweep is
+/// the verdict reference and the wall-time denominator, so it always runs,
+/// and always first.
+fn sweep_modes(list: &str) -> Result<Vec<SweepMode>, String> {
+    let mut modes = vec![SweepMode::Deterministic];
+    for label in list.split(',') {
+        let mode = SweepMode::parse(label.trim())
+            .ok_or_else(|| format!("--modes accepts deterministic|portfolio, got `{label}`"))?;
+        if !modes.contains(&mode) {
+            modes.push(mode);
+        }
+    }
+    Ok(modes)
 }
 
 /// One configuration's sweep over the whole corpus: returns the per-file
@@ -86,7 +126,8 @@ fn all_verdicts(runs: &[BmcRun]) -> Vec<Vec<SolveResult>> {
 /// One dispatch mode of the mode comparison sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SweepMode {
-    /// The deterministic commit-order baseline ([`ShardMode::ByProperty`]).
+    /// The deterministic commit-order baseline (a by-property
+    /// [`ParallelConfig`] run).
     Deterministic,
     /// Strategy-portfolio racing.
     Portfolio,
@@ -123,7 +164,7 @@ fn mode_sweep(
 ) -> (Vec<BmcRun>, Vec<f64>) {
     let options = BmcOptions {
         parallel: match mode {
-            SweepMode::Deterministic => Some(ParallelConfig::by_property(jobs)),
+            SweepMode::Deterministic => Some(ParallelConfig { jobs }),
             SweepMode::Portfolio => None,
         },
         ..*base
@@ -155,65 +196,28 @@ fn mode_sweep(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let positional = rbmc_bench::positional_arg(&args, VALUE_FLAGS, SWITCHES)
+        .unwrap_or_else(|e| usage_error(&e));
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
     let preprocess = !args.iter().any(|a| a == "--no-preprocess");
-    let depth: usize = flag_value(&args, "--depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 10 } else { 20 });
-    let mut jobs_list: Vec<usize> = flag_value(&args, "--jobs-list").map_or_else(
-        || vec![1, 2, 4],
-        |v| {
-            v.split(',')
-                .filter_map(|j| j.parse().ok())
-                .filter(|&j| j > 0)
-                .collect()
-        },
-    );
-    if jobs_list.is_empty() {
-        eprintln!("error: --jobs-list requires a comma-separated list of positive integers");
-        return ExitCode::from(2);
-    }
+    let depth: usize = numeric_flag(&args, "--depth", if smoke { 10 } else { 20 })
+        .unwrap_or_else(|e| usage_error(&e));
+    let mut jobs_list = jobs_list(&args).unwrap_or_else(|e| usage_error(&e));
     // The first configuration is the speedup baseline and the verdict
     // reference; it must be the genuinely sequential sweep.
     if jobs_list[0] != 1 {
         jobs_list.insert(0, 1);
     }
-    let shard = match flag_value(&args, "--shard") {
-        None | Some("by-property") => ShardMode::ByProperty,
-        Some("by-depth") => ShardMode::ByDepth,
-        Some(other) => {
-            eprintln!("error: --shard requires by-property|by-depth, got `{other}`");
-            return ExitCode::from(2);
-        }
-    };
+    let modes = flag_value(&args, "--modes")
+        .map(|list| sweep_modes(list).unwrap_or_else(|e| usage_error(&e)));
+    let jobs = numeric_flag(&args, "--jobs", 4usize)
+        .unwrap_or_else(|e| usage_error(&e))
+        .max(1);
+    let repeat = numeric_flag(&args, "--repeat", 2usize)
+        .unwrap_or_else(|e| usage_error(&e))
+        .max(1);
 
     // Corpus: the positional directory, or a fresh export of the gens suite.
-    let value_flags = [
-        "--depth",
-        "--jobs-list",
-        "--shard",
-        "--modes",
-        "--jobs",
-        "--repeat",
-        "--json-out",
-    ];
-    let mut positional: Option<PathBuf> = None;
-    let mut skip = false;
-    for arg in &args[1..] {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip = true;
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        positional = Some(PathBuf::from(arg));
-        break;
-    }
     let corpus_dir = match positional {
         Some(dir) => dir,
         None => {
@@ -287,33 +291,7 @@ fn main() -> ExitCode {
         .sum();
 
     // --modes switches to the mode comparison (BENCH_relaxed.json).
-    if let Some(modes_arg) = flag_value(&args, "--modes") {
-        let mut modes: Vec<SweepMode> = Vec::new();
-        for label in modes_arg.split(',') {
-            match SweepMode::parse(label.trim()) {
-                Some(mode) => {
-                    if !modes.contains(&mode) {
-                        modes.push(mode);
-                    }
-                }
-                None => {
-                    eprintln!("error: --modes accepts deterministic|portfolio, got `{label}`");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        // The deterministic sweep is the verdict reference and the wall-time
-        // denominator; it always runs, and always first.
-        modes.retain(|m| *m != SweepMode::Deterministic);
-        modes.insert(0, SweepMode::Deterministic);
-        let jobs: usize = flag_value(&args, "--jobs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4)
-            .max(1);
-        let repeat: usize = flag_value(&args, "--repeat")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2)
-            .max(1);
+    if let Some(modes) = modes {
         let base = BmcOptions {
             max_depth: depth,
             strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
@@ -399,15 +377,13 @@ fn main() -> ExitCode {
 
     println!(
         "parallel sweep: {} files / {num_properties} properties to depth {depth} \
-         (shard {}, host cpus {host_cpus})",
+         (host cpus {host_cpus})",
         problems.len(),
-        shard.label(),
     );
 
     let mut report = BenchReport::new(format!(
-        "parallel corpus sweep ({}, depth={depth}, shard={}, host_cpus={host_cpus})",
+        "parallel corpus sweep ({}, depth={depth}, host_cpus={host_cpus})",
         corpus_dir.display(),
-        shard.label(),
     ));
     let mut baseline: Option<(Vec<Vec<SolveResult>>, f64)> = None;
     for &jobs in &jobs_list {
@@ -419,10 +395,7 @@ fn main() -> ExitCode {
             max_depth: depth,
             strategy: OrderingStrategy::RefinedDynamic { divisor: 64 },
             preprocess,
-            parallel: (engine_jobs > 1).then_some(ParallelConfig {
-                jobs: engine_jobs,
-                shard,
-            }),
+            parallel: (engine_jobs > 1).then_some(ParallelConfig { jobs: engine_jobs }),
             ..BmcOptions::default()
         };
         let (runs, wall_s) = sweep(&problems, &options, file_workers);
@@ -466,4 +439,48 @@ fn main() -> ExitCode {
     }
     rbmc_bench::report::emit(&args, "parallel", &report);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{jobs_list, sweep_modes, SweepMode, SWITCHES, VALUE_FLAGS};
+
+    fn args(v: &[&str]) -> Vec<String> {
+        std::iter::once("parallel_sweep")
+            .chain(v.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn retired_and_unknown_flags_are_errors() {
+        for flag in ["--shard", "--bogus-flag"] {
+            let err = rbmc_bench::positional_arg(
+                &args(&["--smoke", flag, "by-property"]),
+                VALUE_FLAGS,
+                SWITCHES,
+            )
+            .unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_jobs_lists_are_errors_not_filtered() {
+        for list in ["1,x", "1,x,2", "0", "1,,2", ""] {
+            let err = jobs_list(&args(&["--jobs-list", list])).unwrap_err();
+            assert!(err.contains("--jobs-list"), "{list}: {err}");
+        }
+        assert_eq!(jobs_list(&args(&["--jobs-list", "2,4"])), Ok(vec![2, 4]));
+        assert_eq!(jobs_list(&args(&[])), Ok(vec![1, 2, 4]));
+    }
+
+    #[test]
+    fn unknown_modes_are_errors() {
+        assert!(sweep_modes("portfolio,relaxed").is_err());
+        assert_eq!(
+            sweep_modes("portfolio,det"),
+            Ok(vec![SweepMode::Deterministic, SweepMode::Portfolio])
+        );
+    }
 }

@@ -17,7 +17,7 @@
 //! rbmc [DIR] [--export-corpus DIR] [--depth N] [--reuse fresh|session]
 //!      [--engine bmc|ic3|induction|portfolio]
 //!      [--strategy bmc|sta|dyn|sht] [--divisor N] [--jobs N]
-//!      [--shard by-property|by-depth] [--no-preprocess]
+//!      [--no-preprocess]
 //!      [--lint off|warn|deny] [--lint-json PATH]
 //!      [--proof off|log|check]
 //!      [--portfolio] [--portfolio-mode strategies|reuse|full]
@@ -31,16 +31,13 @@
 //! - `--jobs N` parallelizes the sweep. The worker budget is *split*, not
 //!   multiplied: benchmark files are striped across up to `N` workers
 //!   first, and any remaining per-worker budget (`N / file-workers`) runs
-//!   each file's engine with [`ParallelConfig`] — so a single-file corpus
-//!   gets full engine-level parallelism while a many-file sweep never
-//!   spawns more than ~`N` solver threads. An explicit `--shard` flips the
-//!   split: the whole budget goes to each file's engine (even with
-//!   `--jobs 1`, which runs the parallel decomposition on one worker) and
-//!   the file sweep itself runs sequentially — by-property pairs with the
-//!   session regime, by-depth with fresh; the default follows `--reuse`.
-//!   Verdicts, witnesses, and rank tables are independent of `N`; the
-//!   per-file output is buffered and printed in file order, so the whole
-//!   report is byte-stable too.
+//!   each file's engine with [`ParallelConfig`] — its properties on that
+//!   many workers, each property's depth loop in the `--reuse` regime — so
+//!   a single-file corpus gets full engine-level parallelism while a
+//!   many-file sweep never spawns more than ~`N` solver threads. Verdicts,
+//!   witnesses, and rank tables are independent of `N`; the per-file output
+//!   is buffered and printed in file order, so the whole report is
+//!   byte-stable too.
 //! - `--engine` picks the verification algorithm: `bmc` (default), `ic3`
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
@@ -56,8 +53,8 @@
 //!   wins); its verdicts do not.
 //! - `--selfcheck` is the differential harness: the main run, the
 //!   *opposite* solver-reuse regime, the *opposite* preprocessing regime,
-//!   and both parallel grains must agree on every property's per-depth
-//!   verdict sequence, and every property is additionally re-checked with
+//!   and a by-property parallel run in the main run's regime must agree on
+//!   every property's per-depth verdict sequence, and every property is additionally re-checked with
 //!   fresh-per-depth single-property runs ([`SolverReuse::Fresh`]). **All**
 //!   mismatching properties across all modes are reported before the
 //!   non-zero exit — a failure names every offender, not just the first.
@@ -103,7 +100,7 @@
 //!   invariant-checked nor certified. The summary line counts
 //!   invariant-checked and uncertified proofs apart. Under `--selfcheck`,
 //!   the differential cross-runs inherit the proof mode, so the parallel
-//!   grains are certified too.
+//!   run is certified too.
 //! - `--smoke` shrinks the export to the small suite and the default depth
 //!   bound to 10 (CI mode).
 //!
@@ -121,7 +118,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rbmc_bench::{BenchCase, BenchReport};
+use rbmc_bench::{flag_value, numeric_flag, usage_error, BenchCase, BenchReport};
 use rbmc_circuit::aiger::parse_aiger;
 use rbmc_circuit::coi::registers_in_cone;
 use rbmc_circuit::lint::{lint_aiger, LintCode, LintReport};
@@ -130,15 +127,8 @@ use rbmc_core::induction::InductionEngine;
 use rbmc_core::{
     check_invariant, preprocess_problem, BmcEngine, BmcOptions, BmcRun, EngineKind, Ic3Engine,
     Model, OrderingStrategy, ParallelConfig, PortfolioMode, PreprocessedProblem, ProblemBuilder,
-    ProofMode, PropertyVerdict, ShardMode, SolveResult, SolverReuse, Trace, VerificationProblem,
+    ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace, VerificationProblem,
 };
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 /// Flags that take a value (the next argument).
 const VALUE_FLAGS: &[&str] = &[
@@ -148,7 +138,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--engine",
     "--reuse",
     "--jobs",
-    "--shard",
     "--portfolio-mode",
     "--witness-dir",
     "--json-out",
@@ -168,50 +157,6 @@ const SWITCHES: &[&str] = &[
     "--portfolio",
     "--no-json",
 ];
-
-/// Reports a command-line error and exits with the usage status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// The corpus directory argument: the first positional (non-flag) one. A
-/// flag the runner does not know, or a value flag without its value, is an
-/// error, so a misspelt or retired flag cannot quietly run the default
-/// configuration.
-fn corpus_arg(args: &[String]) -> Result<Option<PathBuf>, String> {
-    let mut positional = None;
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if rest.next().is_none() {
-                return Err(format!("{arg} requires a value"));
-            }
-        } else if arg.starts_with("--") {
-            if !SWITCHES.contains(&arg.as_str()) {
-                return Err(format!("unknown flag `{arg}`"));
-            }
-        } else if positional.is_none() {
-            positional = Some(PathBuf::from(arg));
-        }
-    }
-    Ok(positional)
-}
-
-/// `flag`'s numeric value, or `default` when the flag is absent. A value
-/// that does not parse is an error, never the default.
-fn numeric_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(value) => value
-            .parse()
-            .map_err(|_| format!("{flag} requires a number, got `{value}`")),
-    }
-}
 
 /// How `--lint` diagnostics gate the sweep (`rbmc_circuit::lint`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -508,7 +453,7 @@ fn prover_cross_check(
 
 /// One diagnostic when a differential cross-run's own proof check rejected
 /// a certificate (the cross-runs inherit the main run's `--proof` mode, so
-/// the parallel grains are certified too, not just the configuration the
+/// the parallel cross-run is certified too, not just the configuration the
 /// sweep reports).
 fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> {
     let proof = run.proof.as_ref().filter(|p| p.rejected())?;
@@ -1051,14 +996,14 @@ fn check_file(
              frontier prefix (falsification depths exact, proofs counterexample-free)"
         );
     } else if selfcheck {
-        // The differential harness: the opposite solver-reuse regime and
-        // both parallel grains must all reproduce the main run's per-depth
-        // verdicts property for property. All mismatches across all modes
-        // are collected before failing, so one bad file reports its
-        // complete offender set. The cross-checks inherit the main run's
-        // engine worker budget — hard-coding a larger count here would
-        // quietly break the sweep's no-more-than-~jobs-threads guarantee
-        // inside each file worker.
+        // The differential harness: the opposite solver-reuse regime, the
+        // opposite preprocessing regime and a by-property parallel run must
+        // all reproduce the main run's per-depth verdicts property for
+        // property. All mismatches across all modes are collected before
+        // failing, so one bad file reports its complete offender set. The
+        // parallel cross-run inherits the main run's engine worker budget —
+        // hard-coding a larger count here would quietly break the sweep's
+        // no-more-than-~jobs-threads guarantee inside each file worker.
         let cross_jobs = options.parallel.map_or(1, |c| c.jobs);
         let other_reuse = match options.reuse {
             SolverReuse::Session => SolverReuse::Fresh,
@@ -1094,21 +1039,18 @@ fn check_file(
                 "preprocessing on"
             },
         ));
-        for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
-            mismatches.extend(cross_check(
-                &stem,
-                &problem,
-                &run,
-                &BmcOptions {
-                    parallel: Some(ParallelConfig {
-                        jobs: cross_jobs,
-                        shard,
-                    }),
-                    ..*options
-                },
-                &format!("parallel {}", shard.label()),
-            ));
-        }
+        // The by-property cross-run, in the main run's own reuse regime:
+        // each property's depth loop on its own.
+        mismatches.extend(cross_check(
+            &stem,
+            &problem,
+            &run,
+            &BmcOptions {
+                parallel: Some(ParallelConfig { jobs: cross_jobs }),
+                ..*options
+            },
+            "parallel by-property",
+        ));
         // The per-property differential gate: each property re-checked
         // alone, with a fresh solver per depth; per-depth verdicts must be
         // identical.
@@ -1158,7 +1100,8 @@ fn check_file(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let corpus_arg = corpus_arg(&args).unwrap_or_else(|e| usage_error(&e));
+    let corpus_arg = rbmc_bench::positional_arg(&args, VALUE_FLAGS, SWITCHES)
+        .unwrap_or_else(|e| usage_error(&e));
     let smoke = args.iter().any(|a| a == "--smoke" || a == "--small");
     let selfcheck = args.iter().any(|a| a == "--selfcheck");
     let quiet_witnesses = args.iter().any(|a| a == "--quiet-witnesses");
@@ -1207,20 +1150,6 @@ fn main() -> ExitCode {
             )),
         },
     };
-    // The engine-level sharding grain mirrors the solver-reuse regime unless
-    // forced: sessions shard by property, the fresh regime by depth.
-    let shard = match flag_value(&args, "--shard") {
-        None => match reuse {
-            SolverReuse::Session => ShardMode::ByProperty,
-            SolverReuse::Fresh => ShardMode::ByDepth,
-        },
-        Some(label) => match ShardMode::parse(label) {
-            Some(mode) => mode,
-            None => usage_error(&format!(
-                "--shard requires by-property|by-depth, got `{label}`"
-            )),
-        },
-    };
     let witness_dir = flag_value(&args, "--witness-dir").map(PathBuf::from);
     if let Some(dir) = &witness_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -1265,8 +1194,7 @@ fn main() -> ExitCode {
             "usage: rbmc [DIR] [--export-corpus DIR] [--depth N] \
              [--engine bmc|ic3|induction|portfolio] \
              [--reuse fresh|session] [--strategy bmc|sta|dyn|sht] [--divisor N] \
-             [--jobs N] [--shard by-property|by-depth] \
-             [--no-preprocess] [--lint off|warn|deny] \
+             [--jobs N] [--no-preprocess] [--lint off|warn|deny] \
              [--lint-json PATH] [--proof off|log|check] \
              [--portfolio] [--portfolio-mode strategies|reuse|full] \
              [--selfcheck] [--smoke] [--witness-dir DIR] [--json-out PATH | --no-json]"
@@ -1326,27 +1254,17 @@ fn main() -> ExitCode {
 
     // Split the worker budget between the two grains instead of multiplying
     // them: `jobs` file workers each running a `jobs`-worker engine would
-    // oversubscribe to jobs² threads. By default file striping gets first
-    // claim (it parallelizes everything, single-property files included)
-    // and whatever budget remains per file worker goes to the engine. An
-    // explicit `--shard` flips the split: the user is asking for
-    // engine-grain sharding, so the whole budget goes to each file's engine
-    // (even `jobs = 1` — the parallel decomposition with one worker) and
-    // the file sweep runs sequentially.
-    // `--portfolio` is an engine-grain request just like an explicit
-    // `--shard`: the whole budget goes to each file's race and the file
-    // sweep runs sequentially.
-    let engine_forced = flag_value(&args, "--shard").is_some() || portfolio_flag;
-    let file_workers = if engine_forced {
+    // oversubscribe to jobs² threads. File striping gets first claim (it
+    // parallelizes everything, single-property files included) and whatever
+    // budget remains per file worker goes to the engine. `--portfolio` is
+    // an engine-grain request: the whole budget goes to each file's race
+    // and the file sweep runs sequentially.
+    let file_workers = if portfolio_flag {
         1
     } else {
         jobs.min(files.len()).max(1)
     };
-    let engine_jobs = if engine_forced {
-        jobs
-    } else {
-        (jobs / file_workers).max(1)
-    };
+    let engine_jobs = (jobs / file_workers).max(1);
     let portfolio = portfolio_flag.then_some((portfolio_mode, engine_jobs));
     let options = BmcOptions {
         max_depth: depth,
@@ -1356,18 +1274,14 @@ fn main() -> ExitCode {
         proof: proof_mode,
         // A portfolio race runs each member sequentially — the race is the
         // parallelism.
-        parallel: (!portfolio_flag && (engine_jobs > 1 || engine_forced)).then_some(
-            ParallelConfig {
-                jobs: engine_jobs,
-                shard,
-            },
-        ),
+        parallel: (!portfolio_flag && engine_jobs > 1)
+            .then_some(ParallelConfig { jobs: engine_jobs }),
         ..BmcOptions::default()
     };
     let grain_label = if portfolio_flag {
         format!("portfolio-{}", portfolio_mode.label())
     } else {
-        shard.label().to_string()
+        "by-property".to_string()
     };
     let engine_label = if portfolio_flag {
         "portfolio"
@@ -1480,14 +1394,11 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        corpus_arg, numeric_flag, proof_counts, uncertified_proofs, verdict_mismatches,
-        witness_text,
+        proof_counts, uncertified_proofs, verdict_mismatches, witness_text, SWITCHES, VALUE_FLAGS,
     };
     use rbmc_bench::BenchCase;
     use rbmc_core::SolveResult::{Sat, Unsat};
-    use rbmc_core::{
-        BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, ShardMode, Trace,
-    };
+    use rbmc_core::{BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, Trace};
     use std::path::PathBuf;
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -1497,22 +1408,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn malformed_numeric_values_are_errors_not_defaults() {
-        for flag in ["--depth", "--divisor", "--jobs"] {
-            let err = numeric_flag(&args(&[flag, "abc"]), flag, 7u32).unwrap_err();
-            assert!(err.contains(flag) && err.contains("abc"), "{err}");
-        }
-        assert!(numeric_flag(&args(&["--jobs", "two"]), "--jobs", 1usize).is_err());
-        assert!(numeric_flag(&args(&["--depth", "-3"]), "--depth", 20usize).is_err());
-        assert_eq!(
-            numeric_flag(&args(&["--depth", "12"]), "--depth", 20usize),
-            Ok(12)
-        );
-        assert_eq!(
-            numeric_flag(&args(&["--smoke"]), "--depth", 20usize),
-            Ok(20)
-        );
+    fn corpus_arg(args: &[String]) -> Result<Option<PathBuf>, String> {
+        rbmc_bench::positional_arg(args, VALUE_FLAGS, SWITCHES)
     }
 
     #[test]
@@ -1535,11 +1432,12 @@ mod tests {
     }
 
     #[test]
-    fn retired_shard_labels_do_not_parse() {
-        for label in ["striped", "work-stealing", "steal"] {
-            assert_eq!(ShardMode::parse(label), None, "{label}");
+    fn retired_shard_flag_is_an_error() {
+        // `main` turns a command-line error into exit status 2.
+        for label in ["by-depth", "by-property"] {
+            let err = corpus_arg(&args(&["corpus", "--shard", label])).unwrap_err();
+            assert!(err.contains("unknown flag `--shard`"), "{err}");
         }
-        assert_eq!(ShardMode::parse("by-depth"), Some(ShardMode::ByDepth));
     }
 
     #[test]
@@ -1573,10 +1471,10 @@ mod tests {
             &["p0", "p1", "p2"],
             &main,
             &other,
-            "parallel by-depth",
+            "parallel by-property",
         );
         assert_eq!(found.len(), 2, "{found:?}");
-        assert!(found[0].contains("file::p0") && found[0].contains("parallel by-depth"));
+        assert!(found[0].contains("file::p0") && found[0].contains("parallel by-property"));
         assert!(found[1].contains("file::p2"));
     }
 

@@ -23,17 +23,19 @@
 //! the smoke suite in both). Besides the stdout table, the run is recorded
 //! as a machine-readable `BENCH_table1.json` artifact (see `rbmc_bench::report`).
 
-use rbmc_bench::{ratio_percent, run_instance_with, secs, BenchCase, BenchReport};
+use rbmc_bench::{ratio_percent, run_instance_with, secs, usage_error, BenchCase, BenchReport};
 use rbmc_core::{OrderingStrategy, SolverReuse, Weighting};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let divisor: u32 = args
-        .iter()
-        .position(|a| a == "--divisor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    rbmc_bench::check_flags(
+        &args,
+        &["--divisor", "--reuse", "--json-out"],
+        &["--smoke", "--small", "--no-json"],
+    )
+    .unwrap_or_else(|e| usage_error(&e));
+    let divisor: u32 =
+        rbmc_bench::numeric_flag(&args, "--divisor", 64).unwrap_or_else(|e| usage_error(&e));
     let reuse = rbmc_bench::cli_reuse(&args, SolverReuse::Fresh);
     let suite = rbmc_bench::cli_suite(&args);
     let mut report = BenchReport::new(format!(

@@ -7,6 +7,8 @@
 
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use rbmc_core::{
@@ -157,6 +159,68 @@ pub fn cli_reuse(args: &[String], default: SolverReuse) -> SolverReuse {
     }
 }
 
+/// The value following `flag` on the command line, if the flag is present.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
+}
+
+/// Parses the value of a numeric `flag`; `default` when the flag is
+/// absent. A malformed value is an error, never the default.
+pub fn numeric_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    match flag_value(args, flag) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("{flag} requires a number, got `{value}`")),
+    }
+}
+
+/// Checks a command line (`args[0]` is the program) against the flags a
+/// binary knows — `value_flags` take the next argument, `switches` stand
+/// alone — and returns its first positional argument. An unknown `--flag`,
+/// or a value flag without its value, is an error, so a misspelt or retired
+/// flag cannot quietly run the default configuration.
+pub fn positional_arg(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Option<PathBuf>, String> {
+    let mut positional = None;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if value_flags.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} requires a value"));
+            }
+        } else if arg.starts_with("--") {
+            if !switches.contains(&arg.as_str()) {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        } else if positional.is_none() {
+            positional = Some(PathBuf::from(arg));
+        }
+    }
+    Ok(positional)
+}
+
+/// [`positional_arg`] for binaries that take no positional argument: any
+/// is an error too.
+pub fn check_flags(args: &[String], value_flags: &[&str], switches: &[&str]) -> Result<(), String> {
+    match positional_arg(args, value_flags, switches)? {
+        None => Ok(()),
+        Some(arg) => Err(format!("unexpected argument `{}`", arg.display())),
+    }
+}
+
+/// Reports a command-line error and exits with the usage status 2.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
 /// The three Table 1 strategies in column order.
 pub fn table1_strategies() -> [OrderingStrategy; 3] {
     [
@@ -177,5 +241,70 @@ pub fn ratio_percent(part: f64, whole: f64) -> f64 {
         100.0
     } else {
         part / whole * 100.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{check_flags, numeric_flag, positional_arg};
+    use std::path::PathBuf;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(v.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn malformed_numeric_values_are_errors_not_defaults() {
+        for flag in ["--depth", "--divisor", "--jobs"] {
+            let err = numeric_flag(&args(&[flag, "abc"]), flag, 7u32).unwrap_err();
+            assert!(err.contains(flag) && err.contains("abc"), "{err}");
+        }
+        assert!(numeric_flag(&args(&["--jobs", "two"]), "--jobs", 1usize).is_err());
+        assert!(numeric_flag(&args(&["--depth", "-3"]), "--depth", 20usize).is_err());
+        assert_eq!(
+            numeric_flag(&args(&["--depth", "12"]), "--depth", 20usize),
+            Ok(12)
+        );
+        assert_eq!(
+            numeric_flag(&args(&["--smoke"]), "--depth", 20usize),
+            Ok(20)
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        let (values, switches) = (
+            &["--depth", "--json-out"][..],
+            &["--smoke", "--no-json"][..],
+        );
+        for flag in ["--bogus-flag", "--shard", "--dept"] {
+            let err = positional_arg(&args(&["dir", flag]), values, switches).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = positional_arg(&args(&["dir", "--depth"]), values, switches).unwrap_err();
+        assert!(err.contains("--depth requires a value"), "{err}");
+        assert_eq!(
+            positional_arg(&args(&["--depth", "5", "dir", "--smoke"]), values, switches),
+            Ok(Some(PathBuf::from("dir")))
+        );
+        // A value flag's argument is never taken for the positional one.
+        assert_eq!(
+            positional_arg(
+                &args(&["--json-out", "x.json", "--no-json"]),
+                values,
+                switches
+            ),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn stray_positional_arguments_are_errors_where_none_is_taken() {
+        let err = check_flags(&args(&["--smoke", "extra"]), &[], &["--smoke"]).unwrap_err();
+        assert!(err.contains("extra"), "{err}");
+        assert_eq!(check_flags(&args(&["--smoke"]), &[], &["--smoke"]), Ok(()));
     }
 }

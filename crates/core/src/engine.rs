@@ -39,7 +39,9 @@ use std::time::{Duration, Instant};
 
 use rbmc_solver::{CancelFlag, Limits, OrderMode, SolveResult, SolverOptions, SolverStats};
 
-use crate::episode::{add_clauses, commit_rank, fresh_episode, EpisodeCtx, RunFold, Session};
+use crate::episode::{
+    add_clauses, commit_rank, fresh_episode, Episode, EpisodeCtx, RunFold, Session, SessionSummary,
+};
 use crate::parallel::{self, ParallelConfig, WorkerReport};
 use crate::preprocess::preprocess_problem;
 use crate::{Model, Trace, TraceLift, VarRank, VerificationProblem, Weighting};
@@ -120,7 +122,8 @@ pub struct BmcOptions {
     /// Decision-ordering scheme.
     pub strategy: OrderingStrategy,
     /// Solver provisioning across depths (persistent session vs fresh per
-    /// depth).
+    /// depth). Parallel runs ([`BmcOptions::parallel`]) follow it too: each
+    /// property's depth loop runs in this regime.
     pub reuse: SolverReuse,
     /// How past cores are weighted (§3.2; ablation knob).
     pub weighting: Weighting,
@@ -153,13 +156,12 @@ pub struct BmcOptions {
     /// Fresh-per-depth solvers discard their CDG with the solver and never
     /// prune.
     pub cdg_prune: bool,
-    /// Run the sweep on a worker pool instead of inline — see
-    /// [`ParallelConfig`] for the two sharding grains. `None` (the default)
-    /// is the sequential loop. The sharding grain fixes the solver
-    /// provisioning ([`ShardMode::ByProperty`](crate::ShardMode) runs one
-    /// session per property, [`ShardMode::ByDepth`](crate::ShardMode) a
-    /// fresh solver per instance), so [`BmcOptions::reuse`] is not consulted
-    /// by parallel runs.
+    /// Run the sweep on a worker pool instead of inline, one property per
+    /// work item — see [`ParallelConfig`]. `None` (the default) is the
+    /// sequential loop over every property at once. A parallel run is the
+    /// sequential loop run once per property, in the [`BmcOptions::reuse`]
+    /// regime, with the results merged in commit order: on a
+    /// single-property problem it is exactly the sequential run.
     pub parallel: Option<ParallelConfig>,
     /// Clause-level proof logging of every provisioned solver, and — under
     /// [`ProofMode::Check`](crate::ProofMode) — independent re-derivation of
@@ -470,9 +472,9 @@ impl fmt::Debug for BmcEngine {
 impl BmcEngine {
     /// Creates an engine for a single-property `model` with the given
     /// options. With [`BmcOptions::preprocess`] on (the default) the model
-    /// is structurally reduced here, once, before any encoding — the
-    /// parallel and portfolio dispatch layers all clone the engine's working
-    /// model, so they inherit the reduction.
+    /// is structurally reduced here, once, before any encoding — a parallel
+    /// run's workers share the engine's working model, so they inherit the
+    /// reduction.
     pub fn new(model: Model, options: BmcOptions) -> BmcEngine {
         let (model, original, lift, pp_report) = if options.preprocess {
             let problem = model.into_problem();
@@ -548,17 +550,10 @@ impl BmcEngine {
     /// returns [`SolveResult::Unknown`] at its next budget checkpoint, no
     /// further episode starts, and the run truncates through the
     /// [`BmcOutcome::ResourceOut`] path — the same committed-partial-run
-    /// semantics a conflict budget produces, in the sequential loop and
-    /// both shard modes alike. Portfolio racing uses this to cut losers off
-    /// mid-depth.
+    /// semantics a conflict budget produces, in sequential and parallel
+    /// runs alike. Portfolio racing uses this to cut losers off mid-depth.
     pub fn set_cancel(&mut self, cancel: CancelFlag) {
         self.cancel = Some(cancel);
-    }
-
-    /// The attached cancellation flag, if any (the parallel drivers thread
-    /// it into every worker's limits).
-    pub(crate) fn cancel_flag(&self) -> Option<&CancelFlag> {
-        self.cancel.as_ref()
     }
 
     /// Runs the loop of Fig. 5 and returns only the summary outcome.
@@ -567,14 +562,19 @@ impl BmcEngine {
     }
 
     /// Runs the loop of Fig. 5 over every property, collecting per-depth and
-    /// per-property statistics. With [`BmcOptions::parallel`] set, the sweep
-    /// is dispatched onto a scoped worker pool instead (see
+    /// per-property statistics. With [`BmcOptions::parallel`] set, the
+    /// properties are dispatched onto a scoped worker pool instead (see
     /// [`ParallelConfig`] for the determinism contract).
     pub fn run_collecting(&mut self) -> BmcRun {
-        let mut run = if let Some(config) = self.options.parallel {
-            parallel::run_parallel(self, config)
-        } else {
-            self.run_sequential()
+        let mut run = match self.options.parallel {
+            Some(config) => parallel::run_by_property(
+                &self.model,
+                &self.options,
+                self.cancel.as_ref(),
+                &mut self.rank,
+                config.jobs,
+            ),
+            None => self.run_inline(),
         };
         // Peak varRank storage. The table only ever shrinks on a
         // LastOnly-weighting reset, whose next update immediately refills it
@@ -597,95 +597,115 @@ impl BmcEngine {
         run
     }
 
-    /// The inline (non-parallel) loop of Fig. 5, in working-model
-    /// coordinates — [`BmcEngine::run_collecting`] lifts its traces. Its
-    /// session call order is a contract (`perfbench` replays it from public
-    /// calls and compares every per-depth counter): frame delta, then one
-    /// session episode per open property with the ranking installed after
-    /// the depth's first activation clause, then the rank update, then the
-    /// depth boundary.
-    fn run_sequential(&mut self) -> BmcRun {
+    /// The sequential engine: [`run_sequential`] over every property,
+    /// folding each depth as the loop commits it. Traces are in
+    /// working-model coordinates; [`BmcEngine::run_collecting`] lifts them.
+    fn run_inline(&mut self) -> BmcRun {
         let run_start = Instant::now();
         let ctx = EpisodeCtx::new(&self.model, &self.options, self.cancel.as_ref());
-        let unroller = &ctx.unroller;
-        let num_props = self.model.problem().num_properties();
+        let props: Vec<usize> = (0..self.model.problem().num_properties()).collect();
         let mut fold = RunFold::new(&self.model);
-        // The persistent solver of a session run (frames appended per depth).
-        let mut session =
-            (self.options.reuse == SolverReuse::Session).then(|| Session::new(&self.options, true));
-        for k in 0..=self.options.max_depth {
-            let depth_start = Instant::now();
-            // gen_cnf_formula(M, P, k): the unroller only ever encodes the
-            // one new frame; the session solver consumes exactly that delta
-            // once per depth, fresh solvers replay the cached prefix per
-            // episode. sat_check(F, varRank) is one episode per open
-            // property.
-            if let Some(session) = session.as_mut() {
-                session.load_frames_through(k, |j, solver| {
-                    unroller.with_frame_delta(j, |clauses| add_clauses(solver, clauses));
-                    // Bounded prefix mode: the persistent solver now holds
-                    // this frame for the rest of the run, so the cache copy
-                    // is pure duplication — drop it and keep the cache at
-                    // one frame instead of `max_depth`.
-                    unroller.retire_frames_through(j);
-                });
+        let session = run_sequential(&ctx, &props, &mut self.rank, |k, episodes, time| {
+            fold.fold_depth(k, ctx.unroller.num_vars_at(k), episodes, Some(time));
+        });
+        if let Some(session) = session {
+            fold.add_solver(session);
+        }
+        fold.finish(ctx.unroller.peak_cached_clauses(), Vec::new(), run_start)
+    }
+}
+
+/// The loop of Fig. 5 over the properties `props` (indices into the working
+/// model's property set, in property order), scheduled against and
+/// committing to `rank`. The sequential engine runs it over every property;
+/// a by-property worker over one, so a single-property problem runs the
+/// same episodes in either.
+///
+/// Each depth loads the new frame (a session; a fresh solver per episode
+/// loads the whole prefix), solves one episode per still-open property,
+/// commits the depth's cores to `rank`, hands the depth's episodes to
+/// `commit(k, episodes, time)` — `(property, episode)` pairs in property
+/// order, with the depth's wall time — and crosses the depth boundary. A
+/// SAT episode retires its property; an Unknown one (budget or
+/// cancellation) ends the loop after its depth commits. Returns the session
+/// solver's summary (`None` in the fresh regime, whose episodes carry their
+/// own).
+///
+/// The session call order is a contract (`perfbench` replays it from
+/// public calls and compares every per-depth counter): frame delta, then
+/// one session episode per open property with the ranking installed after
+/// the depth's first activation clause, then the rank update, then the
+/// depth boundary.
+pub(crate) fn run_sequential(
+    ctx: &EpisodeCtx<'_>,
+    props: &[usize],
+    rank: &mut VarRank,
+    mut commit: impl FnMut(usize, Vec<(usize, Episode)>, Duration),
+) -> Option<SessionSummary> {
+    let options = &ctx.options;
+    let unroller = &ctx.unroller;
+    let mut open = vec![true; props.len()];
+    // The persistent solver of a session run, one activation slot per
+    // scheduled property.
+    let mut session =
+        (options.reuse == SolverReuse::Session).then(|| Session::new(options, props.len()));
+    for k in 0..=options.max_depth {
+        let depth_start = Instant::now();
+        // gen_cnf_formula(M, P, k): the unroller only ever encodes the one
+        // new frame; the session solver consumes exactly that delta once per
+        // depth, fresh solvers replay the cached prefix per episode.
+        // sat_check(F, varRank) is one episode per open property.
+        if let Some(session) = session.as_mut() {
+            session.load_frames_through(unroller, k);
+        }
+        let snapshot = rank.snapshot();
+        let mut ranking = Some(snapshot.as_slice());
+        let mut episodes = Vec::new();
+        let mut resource_out = false;
+        for (slot, &p) in props.iter().enumerate() {
+            if !open[slot] {
+                continue;
             }
-            fold.begin_depth(k, unroller.num_vars_at(k));
-            let snapshot = self.rank.snapshot();
-            let mut ranking = Some(snapshot.as_slice());
-            for p in 0..num_props {
-                if !fold.is_open(p) {
-                    continue;
-                }
-                let episode = match session.as_mut() {
-                    Some(session) => session.episode(&ctx, k, p, ranking.take()),
-                    None => fresh_episode(&ctx, k, p, &snapshot, |solver| {
-                        unroller.with_prefix(k, |clauses| add_clauses(solver, clauses));
-                    }),
-                };
-                let unknown = episode.result == SolveResult::Unknown;
-                fold.fold(p, k, episode);
-                if unknown {
-                    break;
-                }
-            }
-            // update_ranking(unsatVars, varRank) — the union over this
-            // depth's UNSAT episodes.
-            let union = fold.end_depth(Some(depth_start));
-            commit_rank(&self.options, &mut self.rank, k, [union.as_slice()]);
-            if let Some(session) = session.as_mut() {
-                session.end_depth();
-            }
-            #[cfg(feature = "debug-invariants")]
-            self.rank
-                .audit()
-                .expect("rank-table invariants at depth boundary");
-            if fold.resource_out() || fold.all_closed() {
+            let episode = match session.as_mut() {
+                Some(session) => session.episode(ctx, k, slot, p, ranking.take()),
+                None => fresh_episode(ctx, k, p, &snapshot, |solver| {
+                    unroller.with_prefix(k, |clauses| add_clauses(solver, clauses));
+                }),
+            };
+            open[slot] = episode.result != SolveResult::Sat;
+            resource_out = episode.result == SolveResult::Unknown;
+            episodes.push((p, episode));
+            if resource_out {
                 break;
             }
         }
-        if let Some(session) = session {
-            fold.add_solver(session.finish());
+        let time = depth_start.elapsed();
+        // update_ranking(unsatVars, varRank) — the union over this depth's
+        // UNSAT episodes.
+        commit_rank(
+            options,
+            rank,
+            k,
+            episodes.iter().map(|(_, episode)| episode.core.as_slice()),
+        );
+        commit(k, episodes, time);
+        if let Some(session) = session.as_mut() {
+            session.end_depth();
         }
-        fold.finish(unroller.peak_cached_clauses(), Vec::new(), run_start)
+        #[cfg(feature = "debug-invariants")]
+        rank.audit()
+            .expect("rank-table invariants at depth boundary");
+        if resource_out || !open.contains(&true) {
+            break;
+        }
     }
-
-    /// The engine's run configuration (the parallel drivers read it).
-    pub(crate) fn opts(&self) -> &BmcOptions {
-        &self.options
-    }
-
-    /// Mutable access to the accumulated `varRank` (the parallel drivers
-    /// commit their rank tables through this).
-    pub(crate) fn rank_mut(&mut self) -> &mut VarRank {
-        &mut self.rank
-    }
+    session.map(Session::finish)
 }
 
 /// The solver configuration [`BmcOptions`] dictate: `order_mode` and
 /// `record_cdg` are derived from the strategy, the rest is taken from
-/// [`BmcOptions::solver`] (shared by the sequential engine and the parallel
-/// workers, so every provisioned solver is configured identically).
+/// [`BmcOptions::solver`] (shared by every depth loop, so every provisioned
+/// solver is configured identically).
 pub(crate) fn strategy_solver_options(options: &BmcOptions) -> SolverOptions {
     let mut opts = options.solver;
     opts.order_mode = match options.strategy {

@@ -2,11 +2,10 @@
 //! `sat_check(F_k, varRank)` on one instance, then its core for
 //! `update_ranking`.
 //!
-//! Every BMC scheduler runs its episodes through this module: the
-//! sequential loop of [`BmcEngine`](crate::BmcEngine) and the two shard
-//! modes of the `parallel` module. They differ only in *which* instance
-//! they solve next and *when* they commit the rank table — an ordering
-//! policy over three shared pieces:
+//! Every BMC run solves its episodes through this module, in the one depth
+//! loop [`run_sequential`](crate::engine::run_sequential): the sequential
+//! engine runs it over every property, a by-property worker of the
+//! `parallel` module over one. The loop is built from three shared pieces:
 //!
 //! - [`Session`] — a persistent solver with its proof certifier and a
 //!   frames-loaded cursor. [`Session::episode`] solves one property at one
@@ -19,12 +18,13 @@
 //!   per-depth and run-level counters a [`BmcRun`] reports;
 //!   [`Episode::charge`] is the same fold into a worker's share.
 //!
-//! Rank commits belong to the schedulers: each one decides when a depth's
-//! cores reach which table, through [`commit_rank`].
+//! Rank commits go through [`commit_rank`]: the depth loop commits each
+//! depth's cores to the table it schedules against, and the by-property
+//! merge commits the same cores, in commit order, to the engine's table.
 
 use std::time::{Duration, Instant};
 
-use rbmc_cnf::{Clauses, Lit, Var};
+use rbmc_cnf::{Clauses, Var};
 use rbmc_solver::{CancelFlag, Limits, SolveResult, Solver, SolverStats};
 
 use crate::certify::{self, EpisodeCertifier};
@@ -35,9 +35,9 @@ use crate::engine::{
 use crate::parallel::WorkerReport;
 use crate::{shtrichman_rank, Model, ProofSummary, Trace, Unroller, VarRank};
 
-/// What every episode of one scheduler thread reads: the working model, a
-/// thread-local unroller for the index arithmetic (and, in the sequential
-/// loop, the clause cache), the run options and the per-episode limits.
+/// What every episode of one depth loop reads: the working model, the
+/// loop's own unroller (index arithmetic and clause cache), the run options
+/// and the per-episode limits.
 pub(crate) struct EpisodeCtx<'a> {
     pub(crate) model: &'a Model,
     pub(crate) unroller: Unroller<'a>,
@@ -145,7 +145,7 @@ pub(crate) fn add_clauses(solver: &mut Solver, clauses: Clauses<'_>) {
     }
 }
 
-/// Everything one solve episode produced, buffered until its scheduler
+/// Everything one solve episode produced, buffered until its depth loop
 /// commits it.
 pub(crate) struct Episode {
     pub(crate) result: SolveResult,
@@ -207,66 +207,67 @@ pub(crate) struct SessionSummary {
 /// [`strategy_solver_options`], its proof certifier, and the cursor of
 /// frames loaded so far.
 ///
-/// A session is either **shared** by every property of the problem (the
-/// sequential loop) or **dedicated** to one (a by-property session). The
-/// activation literal of property `p` at depth `k` lives above the whole
-/// unrolling's variable range (`num_vars_at(max_depth)`), so it never
-/// collides with a model variable of any depth the run reaches; each depth
-/// owns one block of slots — one per property when shared, a single one
-/// when dedicated.
+/// A session serves the properties its depth loop schedules, each in its
+/// own activation *slot*. The activation literal of slot `s` at depth `k`
+/// lives above the whole unrolling's variable range, at
+/// `num_vars_at(max_depth) + k · slots + s`, so it never collides with a
+/// model variable of any depth the run reaches; each depth owns one block
+/// of `slots` literals.
 pub(crate) struct Session {
     solver: Solver,
     certifier: Option<EpisodeCertifier>,
     /// Frames `0..loaded` are in the solver.
     loaded: usize,
-    shared: bool,
+    /// Activation slots per depth: the number of scheduled properties.
+    slots: usize,
     cdg_prune: bool,
 }
 
 impl Session {
-    /// Provisions a session solver. This is the only place BMC attaches a
-    /// proof certifier (before any clause, as the recorder requires), so
-    /// the certifier moves wherever its solver goes.
-    pub(crate) fn new(options: &BmcOptions, shared: bool) -> Session {
+    /// Provisions a session solver with `slots` activation slots per depth.
+    /// This is the only place BMC attaches a proof certifier (before any
+    /// clause, as the recorder requires), so the certifier moves wherever
+    /// its solver goes.
+    pub(crate) fn new(options: &BmcOptions, slots: usize) -> Session {
         let mut solver = Solver::with_options(strategy_solver_options(options));
         let certifier = EpisodeCertifier::attach(options.proof, &mut solver);
         Session {
             solver,
             certifier,
             loaded: 0,
-            shared,
+            slots,
             cdg_prune: options.cdg_prune,
         }
     }
 
-    /// Loads every frame through `k` not loaded yet; `frame(j, solver)`
-    /// appends frame `j`'s clauses. The caller picks the source: the
-    /// sequential loop's bounded prefix cache, or a parallel run's shared
-    /// prefix.
-    pub(crate) fn load_frames_through(
-        &mut self,
-        k: usize,
-        mut frame: impl FnMut(usize, &mut Solver),
-    ) {
+    /// Loads every frame through `k` not loaded yet, one frame delta at a
+    /// time, from `unroller`'s cache in **bounded prefix mode**: the
+    /// persistent solver holds a loaded frame for the rest of the run, so
+    /// the cache copy is pure duplication — it is dropped, keeping the cache
+    /// at one frame instead of `max_depth`.
+    pub(crate) fn load_frames_through(&mut self, unroller: &Unroller<'_>, k: usize) {
         while self.loaded <= k {
-            frame(self.loaded, &mut self.solver);
+            let frame = self.loaded;
+            unroller.with_frame_delta(frame, |clauses| add_clauses(&mut self.solver, clauses));
+            unroller.retire_frames_through(frame);
             self.loaded += 1;
         }
     }
 
-    /// One session episode: property `p` at depth `k`. Adds `a → bad_p^k`,
-    /// installs `rank` when given one (a scheduler installs the ranking
-    /// once per depth, after that depth's first activation clause), solves
-    /// under the assumption `a`, and takes the trace or core. A conclusive
-    /// episode then retires `a` for good with a `¬a` unit — the property's
-    /// bad-state clause must never constrain a later episode, and
-    /// clause-database reduction reclaims everything learned against `a` —
-    /// and an UNSAT one is certified against its just-recorded final
-    /// clause.
+    /// One session episode: property `p`, in activation slot `slot`, at
+    /// depth `k`. Adds `a → bad_p^k`, installs `rank` when given one (the
+    /// depth loop installs the ranking once per depth, after that depth's
+    /// first activation clause), solves under the assumption `a`, and takes
+    /// the trace or core. A conclusive episode then retires `a` for good
+    /// with a `¬a` unit — the property's bad-state clause must never
+    /// constrain a later episode, and clause-database reduction reclaims
+    /// everything learned against `a` — and an UNSAT one is certified
+    /// against its just-recorded final clause.
     pub(crate) fn episode(
         &mut self,
         ctx: &EpisodeCtx<'_>,
         k: usize,
+        slot: usize,
         p: usize,
         rank: Option<&[u64]>,
     ) -> Episode {
@@ -275,7 +276,8 @@ impl Session {
         }
         let start = Instant::now();
         let base = self.solver.stats().clone();
-        let act = self.activation_lit(ctx, k, p);
+        let block = ctx.unroller.num_vars_at(ctx.options.max_depth) + k * self.slots;
+        let act = Var::new(block + slot).positive();
         let bad = ctx.model.problem().property(p).bad();
         self.solver.add_clause(&[!act, ctx.unroller.lit_of(bad, k)]);
         if let Some(rank) = rank {
@@ -293,16 +295,6 @@ impl Session {
         }
         episode.time = start.elapsed();
         episode
-    }
-
-    fn activation_lit(&self, ctx: &EpisodeCtx<'_>, k: usize, p: usize) -> Lit {
-        let (slots, slot) = if self.shared {
-            (ctx.model.problem().num_properties(), p)
-        } else {
-            (1, 0)
-        };
-        let base = ctx.unroller.num_vars_at(ctx.options.max_depth);
-        Var::new(base + k * slots + slot).positive()
     }
 
     /// The depth boundary. The `¬a` retirements have just cut a batch of
@@ -350,7 +342,8 @@ pub(crate) fn fresh_episode(
         return Episode::unknown();
     }
     let start = Instant::now();
-    let mut session = Session::new(&ctx.options, false);
+    // A fresh solver serves one instance and never activates a slot.
+    let mut session = Session::new(&ctx.options, 1);
     let solver = &mut session.solver;
     solver.reserve_vars(ctx.unroller.num_vars_at(k));
     load_prefix(solver);
@@ -386,7 +379,6 @@ pub(crate) fn commit_rank<'c>(
 /// Per-property live state of a run.
 struct PropState {
     name: String,
-    open: bool,
     episodes: u64,
     assumption_conflicts: u64,
     decisions: u64,
@@ -423,15 +415,14 @@ impl PropState {
 }
 
 /// The one fold of committed episodes into a run's counters: per-property
-/// state, per-depth statistics with the depth's core union, and the run's
-/// solver and proof totals. Schedulers feed it depth by depth, in property
-/// order within a depth — the sequential loop as it goes, the parallel
-/// modes from their committed per-property episode lists.
+/// state, per-depth statistics with the size of the depth's core union, and
+/// the run's solver and proof totals. It is fed depth by depth, in property
+/// order within a depth — by the sequential engine as its depth loop
+/// commits, by the by-property merge from the committed per-property
+/// episode lists.
 pub(crate) struct RunFold {
     props: Vec<PropState>,
     per_depth: Vec<DepthStats>,
-    /// The open depth's union of UNSAT cores (the paper's `unsatVars`).
-    core_union: Vec<Var>,
     solver_stats: SolverStats,
     proof: Option<ProofSummary>,
 }
@@ -444,7 +435,6 @@ impl RunFold {
             .iter()
             .map(|p| PropState {
                 name: p.name().to_string(),
-                open: true,
                 episodes: 0,
                 assumption_conflicts: 0,
                 decisions: 0,
@@ -458,32 +448,30 @@ impl RunFold {
         RunFold {
             props,
             per_depth: Vec::new(),
-            core_union: Vec::new(),
             solver_stats: SolverStats::new(),
             proof: None,
         }
     }
 
-    /// Whether property `p` still needs episodes (not falsified yet).
-    pub(crate) fn is_open(&self, p: usize) -> bool {
-        self.props[p].open
-    }
-
-    /// Whether every property is falsified.
-    pub(crate) fn all_closed(&self) -> bool {
-        self.props.iter().all(|p| !p.open)
-    }
-
     /// Whether the last depth hit a resource budget (the run stops there).
-    pub(crate) fn resource_out(&self) -> bool {
+    fn resource_out(&self) -> bool {
         self.per_depth
             .last()
             .is_some_and(|d| d.result == SolveResult::Unknown)
     }
 
-    /// Opens depth `k`, whose instances have `num_vars` variables.
-    pub(crate) fn begin_depth(&mut self, k: usize, num_vars: usize) {
-        self.per_depth.push(DepthStats {
+    /// Folds depth `k`'s committed episodes — `(property, episode)` pairs in
+    /// property order, over instances of `num_vars` variables. `time` is
+    /// the depth's wall time when one loop ran it; without it the depth
+    /// time is the sum of its episodes' times.
+    pub(crate) fn fold_depth(
+        &mut self,
+        k: usize,
+        num_vars: usize,
+        episodes: impl IntoIterator<Item = (usize, Episode)>,
+        time: Option<Duration>,
+    ) {
+        let mut depth = DepthStats {
             depth: k,
             result: SolveResult::Unsat,
             decisions: 0,
@@ -496,64 +484,52 @@ impl RunFold {
             cdg_nodes: 0,
             cdg_edges: 0,
             time: Duration::ZERO,
-        });
-    }
-
-    /// Folds property `p`'s committed depth-`k` episode into the open
-    /// depth. The episode's core moves into the depth's union; nothing else
-    /// of it is kept.
-    pub(crate) fn fold(&mut self, p: usize, k: usize, episode: Episode) {
-        let prop = &mut self.props[p];
-        prop.episodes += 1;
-        prop.decisions += episode.decisions;
-        prop.conflicts += episode.conflicts;
-        prop.propagations += episode.implications;
-        prop.depth_results.push(episode.result);
-        let depth = self.per_depth.last_mut().expect("fold inside a depth");
-        depth.decisions += episode.decisions;
-        depth.implications += episode.implications;
-        depth.conflicts += episode.conflicts;
-        depth.cdg_nodes += episode.cdg_nodes;
-        depth.cdg_edges += episode.cdg_edges;
-        depth.num_clauses = depth.num_clauses.max(episode.num_clauses);
-        depth.switched_to_vsids |= episode.switched;
-        depth.time += episode.time;
-        match episode.result {
-            SolveResult::Sat => {
-                depth.result = SolveResult::Sat;
-                prop.falsified = Some((k, episode.trace.expect("SAT episode carries a trace")));
-                prop.open = false;
-            }
-            SolveResult::Unsat => {
-                prop.completed = Some(k);
-                // A session episode's UNSAT is a failed-assumption conflict;
-                // a fresh solver asserts the bad state as a unit instead.
-                if episode.fresh.is_none() {
-                    prop.assumption_conflicts += 1;
+        };
+        // The depth's union of UNSAT cores (the paper's `unsatVars`).
+        let mut union: Vec<Var> = Vec::new();
+        for (p, episode) in episodes {
+            let prop = &mut self.props[p];
+            prop.episodes += 1;
+            prop.decisions += episode.decisions;
+            prop.conflicts += episode.conflicts;
+            prop.propagations += episode.implications;
+            prop.depth_results.push(episode.result);
+            depth.decisions += episode.decisions;
+            depth.implications += episode.implications;
+            depth.conflicts += episode.conflicts;
+            depth.cdg_nodes += episode.cdg_nodes;
+            depth.cdg_edges += episode.cdg_edges;
+            depth.num_clauses = depth.num_clauses.max(episode.num_clauses);
+            depth.switched_to_vsids |= episode.switched;
+            depth.time += episode.time;
+            match episode.result {
+                SolveResult::Sat => {
+                    depth.result = SolveResult::Sat;
+                    prop.falsified = Some((k, episode.trace.expect("SAT episode carries a trace")));
                 }
-                self.core_union.extend(episode.core);
+                SolveResult::Unsat => {
+                    prop.completed = Some(k);
+                    // A session episode's UNSAT is a failed-assumption
+                    // conflict; a fresh solver asserts the bad state as a
+                    // unit instead.
+                    if episode.fresh.is_none() {
+                        prop.assumption_conflicts += 1;
+                    }
+                    union.extend(episode.core);
+                }
+                SolveResult::Unknown => depth.result = SolveResult::Unknown,
             }
-            SolveResult::Unknown => depth.result = SolveResult::Unknown,
+            if let Some(fresh) = episode.fresh {
+                self.add_solver(fresh);
+            }
         }
-        if let Some(fresh) = episode.fresh {
-            self.add_solver(fresh);
-        }
-    }
-
-    /// Closes the open depth and returns its deduplicated core union for
-    /// the scheduler's rank commit. `started` is the depth's start for an
-    /// inline scheduler, whose depth time is wall time; without it the
-    /// depth time is the sum of its episodes' times.
-    pub(crate) fn end_depth(&mut self, started: Option<Instant>) -> Vec<Var> {
-        let mut union = std::mem::take(&mut self.core_union);
         union.sort_unstable();
         union.dedup();
-        let depth = self.per_depth.last_mut().expect("end of an open depth");
         depth.core_vars = union.len();
-        if let Some(started) = started {
-            depth.time = started.elapsed();
+        if let Some(time) = time {
+            depth.time = time;
         }
-        union
+        self.per_depth.push(depth);
     }
 
     /// Adds a finished solver's counters and proof summary to the run.

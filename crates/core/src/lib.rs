@@ -121,7 +121,7 @@ pub use ic3::{check_invariant, Ic3Engine, InvariantClause, InvariantError};
 // Re-exported because it appears throughout the engine's public API
 // (`DepthStats::result`, per-depth verdict comparisons).
 pub use model::Model;
-pub use parallel::{striped_map, ParallelConfig, ShardMode, WorkerReport};
+pub use parallel::{striped_map, ParallelConfig, WorkerReport};
 pub use portfolio::{
     run_portfolio, MemberReport, MemberState, PortfolioMember, PortfolioMode, PortfolioRun,
 };
@@ -131,4 +131,4 @@ pub use ranking::{VarRank, Weighting};
 pub use rbmc_solver::{CancelFlag, SolveResult};
 pub use shtrichman::shtrichman_rank;
 pub use trace::{Trace, TraceError};
-pub use unroll::{SharedPrefix, Unroller};
+pub use unroll::Unroller;

@@ -1,38 +1,19 @@
-//! Parallel dispatch of the refinement loop: shard a sweep across a scoped
-//! worker pool, then merge the results — `varRank` updates included — in
-//! **commit order** (lowest depth first, then property order), so a
-//! parallel run is deterministic and reproduces the sequential engine's
-//! verdicts exactly. Every grain is an ordering policy over the one BMC
-//! solve episode of the `episode` module (the sequential loop's, too): the
-//! grains differ in which instance a worker solves next and when cores
-//! reach the rank table, never in how an instance is solved.
+//! Parallel dispatch of the refinement loop by property: each property's
+//! sweep runs on a scoped worker pool, and the results — `varRank` updates
+//! included — are merged in **commit order** (lowest depth first, then
+//! property order), so a parallel run is deterministic.
 //!
-//! Two sharding grains, one per axis the sweep is independent along:
-//!
-//! - [`ShardMode::ByProperty`] — one incremental **session solver per
-//!   property**, each sweeping depths `0..=max_depth` on its own and
-//!   consuming the one shared encoded clause prefix zero-copy (the
-//!   [`SharedPrefix`] view of the unroller cache). Workers pick properties
-//!   off a queue; `jobs` only sets the concurrency, never the decomposition,
-//!   so results are identical for every `jobs` value. A single-property
-//!   problem degenerates to exactly the sequential
-//!   [`SolverReuse::Session`](crate::SolverReuse) run — bit-identical
-//!   verdicts, cores, rank table and per-depth search counters.
-//! - [`ShardMode::ByDepth`] — the paper's **fresh solver per (property,
-//!   depth)** instances dispatched across workers. The refined strategies
-//!   chain each depth's ranking to the previous depths' cores, so instances
-//!   are launched as a per-depth wavefront: all open properties of depth `k`
-//!   solve concurrently against the same rank snapshot the sequential
-//!   [`SolverReuse::Fresh`](crate::SolverReuse) engine would install, and
-//!   their cores are committed in property order before depth `k+1` starts.
-//!   Core-free strategies (`Standard`, `Shtrichman`) have no such chain, so
-//!   their whole `(depth × property)` lattice is dispatched at once — the
-//!   embarrassingly parallel case. Either way the committed results are
-//!   bit-identical to the sequential fresh engine (each instance is solved
-//!   by an identically configured, identically seeded fresh solver);
-//!   episodes the sequential loop would never have run (a depth beyond a
-//!   property's retirement, or past a budget exhaustion) are discarded at
-//!   commit time.
+//! A worker runs the sequential depth loop
+//! ([`run_sequential`](crate::engine::run_sequential)) over its one
+//! property, in the run's [`SolverReuse`](crate::SolverReuse) regime: a
+//! session solver of its own, or a fresh solver per depth. It ranks
+//! against its own `varRank` table, built from its own cores, and loads
+//! frames through its own unroller in bounded prefix mode. Workers pick
+//! properties off a queue; `jobs` only sets the concurrency, never the
+//! decomposition, so results are identical for every `jobs` value. A
+//! single-property problem is therefore exactly the sequential run in
+//! either regime — bit-identical verdicts, cores, rank table and per-depth
+//! search counters.
 //!
 //! Determinism contract: per-property verdicts, per-depth verdict
 //! sequences, retirement depths, counterexample traces, and the final
@@ -48,15 +29,13 @@
 //! - **Conflict budgets** are honored per episode, and an exhaustion
 //!   truncates the run at the sequential loop's `(depth, property)` commit
 //!   rule — though work already done past that point (and its aggregate
-//!   solver counters) cannot be un-spent. Under [`ShardMode::ByDepth`] the
-//!   episodes themselves are bit-identical to the sequential fresh
-//!   engine's, so the truncation point matches it exactly; under
-//!   [`ShardMode::ByProperty`] each property's session lacks the clauses
-//!   the sequential *shared* session would have learned from its siblings,
-//!   so with a tight conflict budget an episode may exhaust it where the
-//!   shared session would not (or vice versa) and the cut can land at a
-//!   different point than sequential `Session` mode. Jobs-invariance holds
-//!   regardless — the decomposition never depends on `jobs`.
+//!   solver counters) cannot be un-spent. With several properties, each
+//!   property's loop lacks what the sequential multi-property loop shares
+//!   across properties — learned clauses in a session, the rank table in
+//!   either regime — so with a tight conflict budget an episode may exhaust
+//!   it where the sequential run would not (or vice versa) and the cut can
+//!   land at a different point. Jobs-invariance holds regardless — the
+//!   decomposition never depends on `jobs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -64,47 +43,9 @@ use std::time::{Duration, Instant};
 
 use rbmc_solver::{CancelFlag, SolveResult};
 
-use crate::engine::{BmcEngine, BmcOptions, BmcRun};
-use crate::episode::{
-    add_clauses, commit_rank, fresh_episode, Episode, EpisodeCtx, RunFold, Session, SessionSummary,
-};
-use crate::unroll::SharedPrefix;
+use crate::engine::{run_sequential, BmcOptions, BmcRun};
+use crate::episode::{commit_rank, Episode, EpisodeCtx, RunFold, SessionSummary};
 use crate::{Model, Unroller, VarRank};
-
-/// Which independence axis a parallel run shards along.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ShardMode {
-    /// One session solver per property, properties striped across workers
-    /// (the HWMCC-portfolio axis). Best when the problem has several
-    /// properties; a single-property problem runs on one worker and matches
-    /// the sequential session engine exactly.
-    #[default]
-    ByProperty,
-    /// Fresh-per-depth instances dispatched across workers (the paper's
-    /// regime, parallelized). Core-free strategies dispatch every depth at
-    /// once; the refined strategies pipeline depth-by-depth because each
-    /// depth's ranking depends on the previous cores.
-    ByDepth,
-}
-
-impl ShardMode {
-    /// Short name used in benchmark tables and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardMode::ByProperty => "by-property",
-            ShardMode::ByDepth => "by-depth",
-        }
-    }
-
-    /// Parses a mode label as accepted by the CLI tools (`--shard`).
-    pub fn parse(label: &str) -> Option<ShardMode> {
-        match label {
-            "by-property" | "property" => Some(ShardMode::ByProperty),
-            "by-depth" | "depth" => Some(ShardMode::ByDepth),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration of a parallel run ([`BmcOptions::parallel`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -112,26 +53,6 @@ pub struct ParallelConfig {
     /// Worker-thread budget (clamped to at least 1). The decomposition is
     /// independent of this value — only the wall clock changes.
     pub jobs: usize,
-    /// The sharding grain.
-    pub shard: ShardMode,
-}
-
-impl ParallelConfig {
-    /// Property-sharded run with `jobs` workers.
-    pub fn by_property(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::ByProperty,
-        }
-    }
-
-    /// Depth-sharded run with `jobs` workers.
-    pub fn by_depth(jobs: usize) -> ParallelConfig {
-        ParallelConfig {
-            jobs,
-            shard: ShardMode::ByDepth,
-        }
-    }
 }
 
 /// One worker's share of a parallel run (see [`BmcRun::workers`]).
@@ -139,12 +60,10 @@ impl ParallelConfig {
 pub struct WorkerReport {
     /// Worker index (`0..jobs`).
     pub worker: usize,
-    /// Work items claimed: whole property sessions under
-    /// [`ShardMode::ByProperty`], solve instances under
-    /// [`ShardMode::ByDepth`].
+    /// Properties this worker swept.
     pub items: u64,
-    /// Solve episodes run by this worker, committed or not (a lattice
-    /// worker may solve past the run's eventual cut).
+    /// Solve episodes run by this worker, committed or not (a property may
+    /// solve past the run's eventual cut).
     pub episodes: u64,
     /// Decisions over this worker's episodes.
     pub decisions: u64,
@@ -154,15 +73,6 @@ pub struct WorkerReport {
     pub propagations: u64,
     /// Wall-clock time of this worker, summed over its items.
     pub time: Duration,
-}
-
-/// Entry point from [`BmcEngine::run_collecting`].
-pub(crate) fn run_parallel(engine: &mut BmcEngine, config: ParallelConfig) -> BmcRun {
-    let jobs = config.jobs.max(1);
-    match config.shard {
-        ShardMode::ByProperty => run_by_property(engine, jobs),
-        ShardMode::ByDepth => run_by_depth(engine, jobs),
-    }
 }
 
 /// The one fan-out primitive every striped sweep in the workspace runs on:
@@ -205,97 +115,63 @@ pub fn striped_map<R: Send>(
         .collect()
 }
 
-/// [`striped_map`] with the per-worker accounting the dispatch modes need:
-/// `f(index, share)` charges its episodes to `share` and may return `None`
-/// to skip an item (its slot stays empty and no `items` credit is given);
-/// wall time accumulates per worker. `workers` is grown to the number of
-/// threads actually spawned — so [`BmcRun::workers`] reports real
-/// concurrency, not the requested budget.
-fn striped_dispatch<R: Send>(
-    len: usize,
-    budget: usize,
-    workers: &mut Vec<WorkerReport>,
-    f: impl Fn(usize, &mut WorkerReport) -> Option<R> + Sync,
-) -> Vec<Option<R>> {
-    let spawn = budget.min(len).max(1);
-    while workers.len() < spawn {
-        workers.push(WorkerReport {
-            worker: workers.len(),
-            ..WorkerReport::default()
-        });
-    }
-    // One share per thread, only ever locked by its own thread.
-    let shares: Vec<Mutex<WorkerReport>> = (0..spawn).map(|_| Mutex::default()).collect();
-    let results = striped_map(len, spawn, |w, i| {
-        let start = Instant::now();
-        let mut share = shares[w].lock().expect("share lock");
-        let out = f(i, &mut share);
-        share.items += u64::from(out.is_some());
-        share.time += start.elapsed();
-        out
-    });
-    for (report, share) in workers.iter_mut().zip(shares) {
-        let share = share.into_inner().expect("share lock");
-        report.items += share.items;
-        report.episodes += share.episodes;
-        report.decisions += share.decisions;
-        report.conflicts += share.conflicts;
-        report.propagations += share.propagations;
-        report.time += share.time;
-    }
-    results
+/// What one property's depth loop hands back to the merge.
+struct PropertyRun {
+    /// The committed episodes, one per depth the loop ran.
+    episodes: Vec<Episode>,
+    /// The loop's session solver (`None` in the fresh regime).
+    session: Option<SessionSummary>,
+    /// The peak of the loop's own prefix cache.
+    prefix_peak: usize,
 }
 
-/// Whether a property's committed episode list still needs episodes (its
-/// last episode, if any, was not SAT).
-fn is_open(episodes: &[Episode]) -> bool {
-    episodes.last().is_none_or(|e| e.result != SolveResult::Sat)
-}
-
-// ---------------------------------------------------------------------------
-// ByProperty: one session solver per property.
-// ---------------------------------------------------------------------------
-
-fn run_by_property(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
+/// Entry point from [`BmcEngine::run_collecting`](crate::BmcEngine): the
+/// sequential loop once per property of `model` on up to `jobs` workers,
+/// merged into one run whose cores are committed to `rank`.
+pub(crate) fn run_by_property(
+    model: &Model,
+    options: &BmcOptions,
+    cancel: Option<&CancelFlag>,
+    rank: &mut VarRank,
+    jobs: usize,
+) -> BmcRun {
     let run_start = Instant::now();
-    let options = *engine.opts();
-    let cancel = engine.cancel_flag().cloned();
-    let model = engine.working_model().clone();
-    let num_props = model.problem().num_properties();
-    let unroller = Unroller::new(&model);
-
-    let (results, workers) = unroller.with_shared_prefix(options.max_depth, |prefix| {
-        let mut workers = Vec::new();
-        let results = striped_dispatch(num_props, jobs, &mut workers, |p, share| {
-            let (episodes, session) =
-                run_property_session(&model, &options, &prefix, cancel.as_ref(), p);
-            for episode in &episodes {
-                episode.charge(share);
-            }
-            Some((episodes, session))
+    let len = model.problem().num_properties();
+    let spawn = jobs.min(len).max(1);
+    // One share per thread, only ever locked by its own thread.
+    let shares: Vec<Mutex<WorkerReport>> = (0..spawn)
+        .map(|worker| {
+            Mutex::new(WorkerReport {
+                worker,
+                ..WorkerReport::default()
+            })
+        })
+        .collect();
+    let runs = striped_map(len, spawn, |w, p| {
+        let start = Instant::now();
+        let ctx = EpisodeCtx::new(model, options, cancel);
+        let mut own_rank = VarRank::new(options.weighting);
+        let mut episodes = Vec::new();
+        let session = run_sequential(&ctx, &[p], &mut own_rank, |_, depth, _| {
+            episodes.extend(depth.into_iter().map(|(_, episode)| episode));
         });
-        (results, workers)
+        let mut share = shares[w].lock().expect("share lock");
+        for episode in &episodes {
+            episode.charge(&mut share);
+        }
+        share.items += 1;
+        share.time += start.elapsed();
+        PropertyRun {
+            episodes,
+            session,
+            prefix_peak: ctx.unroller.peak_cached_clauses(),
+        }
     });
-    let (mut groups, sessions): (Vec<_>, Vec<_>) = results
+    let workers = shares
         .into_iter()
-        .map(|r| r.expect("every property was dispatched"))
-        .unzip();
-    cut_at_first_unknown(&mut groups);
-    // The commit-order rank merge: each depth's core union, lowest depth
-    // first — exactly the sequential engine's update sequence.
-    let depths = groups.iter().map(Vec::len).max().unwrap_or(0);
-    for k in 0..depths {
-        commit_rank(
-            &options,
-            engine.rank_mut(),
-            k,
-            groups
-                .iter()
-                .filter_map(|g| g.get(k))
-                .map(|e| e.core.as_slice()),
-        );
-    }
-    merge_committed(&unroller, groups, sessions, workers, run_start)
+        .map(|share| share.into_inner().expect("share lock"))
+        .collect();
+    merge_committed(model, options, rank, runs, workers, run_start)
 }
 
 /// Emulates the sequential control flow on per-property episode lists: the
@@ -322,235 +198,57 @@ fn cut_at_first_unknown(groups: &mut [Vec<Episode>]) {
     }
 }
 
-/// One property's full sweep on its own dedicated session — the
-/// sequential session loop specialized to a single property (same
-/// episode, same per-depth rank refresh from its own cores, same depth
-/// boundary). A single-property problem therefore reproduces the
-/// sequential engine exactly, counters included.
-fn run_property_session(
+/// Folds the per-property runs into one [`BmcRun`] in commit order — depth
+/// by depth, property order within a depth, as the sequential loop folds
+/// them — committing each depth's cores to `rank` as the sequential loop
+/// would.
+fn merge_committed(
     model: &Model,
     options: &BmcOptions,
-    prefix: &SharedPrefix<'_>,
-    cancel: Option<&CancelFlag>,
-    p: usize,
-) -> (Vec<Episode>, SessionSummary) {
-    let ctx = EpisodeCtx::new(model, options, cancel);
-    let mut session = Session::new(options, false);
-    let mut rank = VarRank::new(options.weighting);
-    let mut episodes = Vec::new();
-    for k in 0..=options.max_depth {
-        session.load_frames_through(k, |j, solver| add_clauses(solver, prefix.frame_delta(j)));
-        let episode = session.episode(&ctx, k, p, Some(&rank.snapshot()));
-        commit_rank(options, &mut rank, k, [episode.core.as_slice()]);
-        session.end_depth();
-        let result = episode.result;
-        episodes.push(episode);
-        if result != SolveResult::Unsat {
-            break;
-        }
-    }
-    (episodes, session.finish())
-}
-
-// ---------------------------------------------------------------------------
-// ByDepth: fresh solver per (property, depth) instance.
-// ---------------------------------------------------------------------------
-
-fn run_by_depth(engine: &mut BmcEngine, jobs: usize) -> BmcRun {
-    let run_start = Instant::now();
-    let options = *engine.opts();
-    let cancel = engine.cancel_flag().cloned();
-    let model = engine.working_model().clone();
-    let unroller = Unroller::new(&model);
-    let mut rank = engine.rank().clone();
-    // Grown by the dispatch helper to the concurrency actually reached.
-    let mut workers: Vec<WorkerReport> = Vec::new();
-
-    let groups = unroller.with_shared_prefix(options.max_depth, |prefix| {
-        // The same fresh episode the sequential `SolverReuse::Fresh` loop
-        // runs (same prefix, bad-state unit, ranking and limits — an
-        // identical deterministic solver, so an identical result).
-        let solve = |p: usize, k: usize, rank: &[u64]| {
-            let ctx = EpisodeCtx::new(&model, &options, cancel.as_ref());
-            fresh_episode(&ctx, k, p, rank, |solver| {
-                add_clauses(solver, prefix.prefix(k));
-            })
-        };
-        if options.strategy.needs_cores() {
-            // The refined strategies chain depth k's ranking to the cores of
-            // depths < k: dispatch one depth at a time, all open properties
-            // concurrently, each against the same rank snapshot the
-            // sequential fresh engine would install.
-            run_depth_wavefront(&model, &options, solve, &mut rank, &mut workers, jobs)
-        } else {
-            // No rank chaining: the whole (depth × property) lattice is
-            // independent. Dispatch everything; commit order sorts it out.
-            run_depth_lattice(&model, &options, solve, &mut workers, jobs)
-        }
-    });
-    *engine.rank_mut() = rank;
-    merge_committed(&unroller, groups, Vec::new(), workers, run_start)
-}
-
-/// Depth-synchronized dispatch for the core-chained strategies: solve all
-/// open properties of each depth concurrently, then commit their cores (in
-/// property order) into the rank table before the next depth launches.
-fn run_depth_wavefront(
-    model: &Model,
-    options: &BmcOptions,
-    solve: impl Fn(usize, usize, &[u64]) -> Episode + Sync,
     rank: &mut VarRank,
-    workers: &mut Vec<WorkerReport>,
-    jobs: usize,
-) -> Vec<Vec<Episode>> {
-    let mut groups: Vec<Vec<Episode>> = (0..model.problem().num_properties())
-        .map(|_| Vec::new())
-        .collect();
-    for k in 0..=options.max_depth {
-        let open: Vec<usize> = (0..groups.len()).filter(|&p| is_open(&groups[p])).collect();
-        if open.is_empty() {
-            break;
-        }
-        let rank_snapshot = rank.snapshot();
-        let episodes = striped_dispatch(open.len(), jobs, workers, |i, share| {
-            let episode = solve(open[i], k, &rank_snapshot);
-            episode.charge(share);
-            Some(episode)
-        });
-        let mut episodes = episodes.into_iter().map(|e| e.expect("episode solved"));
-        let stop = commit_depth(&mut groups, k, |_| episodes.next().expect("open property"));
+    runs: Vec<PropertyRun>,
+    workers: Vec<WorkerReport>,
+    run_start: Instant,
+) -> BmcRun {
+    let unroller = Unroller::new(model);
+    let mut fold = RunFold::new(model);
+    let mut groups = Vec::with_capacity(runs.len());
+    let mut sessions = Vec::new();
+    let mut prefix_peak = 0;
+    for run in runs {
+        groups.push(run.episodes);
+        sessions.extend(run.session);
+        prefix_peak = prefix_peak.max(run.prefix_peak);
+    }
+    cut_at_first_unknown(&mut groups);
+    let depths = groups.iter().map(Vec::len).max().unwrap_or(0);
+    let mut columns: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
+    for k in 0..depths {
+        let episodes: Vec<(usize, Episode)> = columns
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(p, column)| column.next().map(|episode| (p, episode)))
+            .collect();
         commit_rank(
             options,
             rank,
             k,
-            groups
-                .iter()
-                .filter_map(|g| g.get(k))
-                .map(|e| e.core.as_slice()),
+            episodes.iter().map(|(_, episode)| episode.core.as_slice()),
         );
-        if stop {
-            break;
-        }
-    }
-    groups
-}
-
-/// Whole-lattice dispatch for the core-free strategies: every (depth,
-/// property) instance is independent, so workers drain one global queue.
-/// A SAT result publishes the property's provisional retirement depth so
-/// deeper instances of the same property are skipped instead of solved —
-/// commit order retires the property at its *shallowest* SAT depth, and a
-/// skipped instance is by construction deeper than that.
-fn run_depth_lattice(
-    model: &Model,
-    options: &BmcOptions,
-    solve: impl Fn(usize, usize, &[u64]) -> Episode + Sync,
-    workers: &mut Vec<WorkerReport>,
-    jobs: usize,
-) -> Vec<Vec<Episode>> {
-    let num_props = model.problem().num_properties();
-    let num_depths = options.max_depth + 1;
-    let sat_seen: Vec<AtomicUsize> = (0..num_props)
-        .map(|_| AtomicUsize::new(usize::MAX))
-        .collect();
-    let mut episodes = striped_dispatch(num_depths * num_props, jobs, workers, |idx, share| {
-        let (k, p) = (idx / num_props, idx % num_props);
-        // Skip instances provably beyond the property's retirement (a
-        // shallower SAT is already known).
-        if k > sat_seen[p].load(Ordering::Relaxed) {
-            return None;
-        }
-        let episode = solve(p, k, &[]);
-        if episode.result == SolveResult::Sat {
-            sat_seen[p].fetch_min(k, Ordering::Relaxed);
-        }
-        episode.charge(share);
-        Some(episode)
-    });
-
-    // Commit in (depth, property) order, reproducing the sequential loop's
-    // retirement and stop rules; uncommitted episodes are speculative waste.
-    let mut groups: Vec<Vec<Episode>> = (0..num_props).map(|_| Vec::new()).collect();
-    for k in 0..num_depths {
-        if !groups.iter().any(|g| is_open(g)) {
-            break;
-        }
-        let stop = commit_depth(&mut groups, k, |p| {
-            episodes[k * num_props + p]
-                .take()
-                .expect("open property's instance was dispatched")
-        });
-        if stop {
-            break;
-        }
-    }
-    groups
-}
-
-/// Commits depth `k` of every open property in property order — the
-/// sequential within-depth walk, including its stop-at-first-Unknown rule.
-/// `take(p)` yields property `p`'s depth-`k` episode. Returns whether the
-/// run stops at this depth.
-fn commit_depth(
-    groups: &mut [Vec<Episode>],
-    k: usize,
-    mut take: impl FnMut(usize) -> Episode,
-) -> bool {
-    for (p, group) in groups.iter_mut().enumerate() {
-        if !is_open(group) {
-            continue;
-        }
-        debug_assert_eq!(group.len(), k, "commits advance one depth at a time");
-        let episode = take(p);
-        let unknown = episode.result == SolveResult::Unknown;
-        group.push(episode);
-        if unknown {
-            return true;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// Merge: committed per-property results -> one BmcRun.
-// ---------------------------------------------------------------------------
-
-/// Folds the committed per-property episode lists into a [`BmcRun`] in
-/// commit order — depth by depth, property order within a depth, as the
-/// sequential loop folds them — together with the runs' finished session
-/// solvers. Rank commits are the scheduler's, not the merge's.
-fn merge_committed(
-    unroller: &Unroller<'_>,
-    groups: Vec<Vec<Episode>>,
-    sessions: Vec<SessionSummary>,
-    workers: Vec<WorkerReport>,
-    run_start: Instant,
-) -> BmcRun {
-    let mut fold = RunFold::new(unroller.model());
-    let depths = groups.iter().map(Vec::len).max().unwrap_or(0);
-    let mut columns: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
-    for k in 0..depths {
-        fold.begin_depth(k, unroller.num_vars_at(k));
-        for (p, column) in columns.iter_mut().enumerate() {
-            if let Some(episode) = column.next() {
-                fold.fold(p, k, episode);
-            }
-        }
-        fold.end_depth(None);
+        fold.fold_depth(k, unroller.num_vars_at(k), episodes, None);
     }
     for session in sessions {
         fold.add_solver(session);
     }
-    // Parallel runs eagerly encode the whole shared prefix, so the cache
-    // peak is its full size (bounded prefix mode is sequential-session-only).
-    fold.finish(unroller.peak_cached_clauses(), workers, run_start)
+    // Each loop keeps its own cache; the run reports the largest.
+    fold.finish(prefix_peak, workers, run_start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
-        BmcOutcome, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolverReuse,
+        BmcEngine, BmcOutcome, OrderingStrategy, ProblemBuilder, PropertyVerdict, SolverReuse,
         VerificationProblem,
     };
     use rbmc_circuit::{LatchInit, Netlist, Signal};
@@ -613,77 +311,51 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn by_property_single_property_matches_sequential_session_exactly() {
+    /// The per-depth search counters of a run.
+    fn counters(run: &BmcRun) -> Vec<(u64, u64, u64)> {
+        run.per_depth
+            .iter()
+            .map(|d| (d.decisions, d.conflicts, d.implications))
+            .collect()
+    }
+
+    /// A single-property by-property run is the sequential loop itself:
+    /// verdicts, rank table and every per-depth search counter match the
+    /// sequential run in the same regime, at every worker budget.
+    fn assert_single_property_matches_sequential(reuse: SolverReuse, target: u64) {
         for strategy in all_strategies() {
-            let (seq, seq_rank) = run(
-                counter_problem(4, &[11]),
-                strategy,
-                SolverReuse::Session,
-                None,
-            );
+            let (seq, seq_rank) = run(counter_problem(4, &[target]), strategy, reuse, None);
             for jobs in [1, 2, 4] {
                 let (par, par_rank) = run(
-                    counter_problem(4, &[11]),
+                    counter_problem(4, &[target]),
                     strategy,
-                    SolverReuse::Session,
-                    Some(ParallelConfig::by_property(jobs)),
+                    reuse,
+                    Some(ParallelConfig { jobs }),
                 );
-                assert_eq!(
-                    prop_verdicts(&par),
-                    prop_verdicts(&seq),
-                    "{strategy:?} j{jobs}"
-                );
-                assert_eq!(par_rank, seq_rank, "{strategy:?} j{jobs} rank table");
+                let ctx = format!("{strategy:?} {reuse:?} j{jobs}");
+                assert_eq!(prop_verdicts(&par), prop_verdicts(&seq), "{ctx}");
+                assert_eq!(par_rank, seq_rank, "{ctx} rank table");
                 let depth = |r: &BmcRun| -> Vec<SolveResult> {
                     r.per_depth.iter().map(|d| d.result).collect()
                 };
-                assert_eq!(depth(&par), depth(&seq), "{strategy:?} j{jobs}");
-                // The same episode primitive in the same call order: every
-                // per-depth search counter matches, not just the verdicts.
-                let counters = |r: &BmcRun| -> Vec<(u64, u64, u64)> {
-                    r.per_depth
-                        .iter()
-                        .map(|d| (d.decisions, d.conflicts, d.implications))
-                        .collect()
-                };
-                assert_eq!(
-                    counters(&par),
-                    counters(&seq),
-                    "{strategy:?} j{jobs} per-depth counters"
+                assert_eq!(depth(&par), depth(&seq), "{ctx}");
+                assert_eq!(counters(&par), counters(&seq), "{ctx} per-depth counters");
+                assert!(
+                    matches!(par.outcome, BmcOutcome::Counterexample { depth, .. } if depth as u64 == target),
+                    "{ctx}"
                 );
-                assert!(matches!(
-                    par.outcome,
-                    BmcOutcome::Counterexample { depth: 11, .. }
-                ));
             }
         }
     }
 
     #[test]
-    fn by_depth_single_property_matches_sequential_fresh_exactly() {
-        for strategy in all_strategies() {
-            let (seq, seq_rank) = run(counter_problem(4, &[9]), strategy, SolverReuse::Fresh, None);
-            for jobs in [1, 2, 4] {
-                let (par, par_rank) = run(
-                    counter_problem(4, &[9]),
-                    strategy,
-                    SolverReuse::Fresh,
-                    Some(ParallelConfig::by_depth(jobs)),
-                );
-                assert_eq!(
-                    prop_verdicts(&par),
-                    prop_verdicts(&seq),
-                    "{strategy:?} j{jobs}"
-                );
-                assert_eq!(par_rank, seq_rank, "{strategy:?} j{jobs} rank table");
-                assert_eq!(
-                    par.total_decisions(),
-                    seq.total_decisions(),
-                    "{strategy:?} j{jobs}"
-                );
-            }
-        }
+    fn by_property_single_property_matches_sequential_session_exactly() {
+        assert_single_property_matches_sequential(SolverReuse::Session, 11);
+    }
+
+    #[test]
+    fn by_property_single_property_matches_sequential_fresh_exactly() {
+        assert_single_property_matches_sequential(SolverReuse::Fresh, 9);
     }
 
     #[test]
@@ -692,63 +364,31 @@ mod tests {
         // counter (wraps at 16).
         let targets: &[u64] = &[3, 14, 9];
         for strategy in all_strategies() {
-            let (seq, _) = run(
-                counter_problem(4, targets),
-                strategy,
-                SolverReuse::Session,
-                None,
-            );
-            for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
+            for reuse in [SolverReuse::Session, SolverReuse::Fresh] {
+                let (seq, _) = run(counter_problem(4, targets), strategy, reuse, None);
                 let mut baseline: Option<(Signature, Vec<u64>)> = None;
                 for jobs in [1, 2, 4] {
                     let (par, par_rank) = run(
                         counter_problem(4, targets),
                         strategy,
-                        SolverReuse::Session,
-                        Some(ParallelConfig { jobs, shard }),
+                        reuse,
+                        Some(ParallelConfig { jobs }),
                     );
-                    assert_eq!(
-                        prop_verdicts(&par),
-                        prop_verdicts(&seq),
-                        "{strategy:?} {shard:?} j{jobs}"
-                    );
+                    let ctx = format!("{strategy:?} {reuse:?} j{jobs}");
+                    assert_eq!(prop_verdicts(&par), prop_verdicts(&seq), "{ctx}");
                     assert!(
                         matches!(par.outcome, BmcOutcome::Counterexample { depth: 3, .. }),
-                        "{strategy:?} {shard:?} j{jobs}"
+                        "{ctx}"
                     );
                     match &baseline {
                         None => baseline = Some((prop_verdicts(&par), par_rank)),
                         Some((v, r)) => {
-                            assert_eq!(&prop_verdicts(&par), v, "{strategy:?} {shard:?} j{jobs}");
-                            assert_eq!(&par_rank, r, "{strategy:?} {shard:?} j{jobs} rank");
+                            assert_eq!(&prop_verdicts(&par), v, "{ctx}");
+                            assert_eq!(&par_rank, r, "{ctx} rank");
                         }
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn multi_property_by_depth_matches_sequential_fresh_rank_table() {
-        // The depth-wavefront commits cores in the same order the sequential
-        // fresh engine does, so even the multi-property rank table is
-        // bit-identical to SolverReuse::Fresh.
-        let targets: &[u64] = &[5, 14, 11];
-        for strategy in all_strategies() {
-            let (seq, seq_rank) = run(
-                counter_problem(4, targets),
-                strategy,
-                SolverReuse::Fresh,
-                None,
-            );
-            let (par, par_rank) = run(
-                counter_problem(4, targets),
-                strategy,
-                SolverReuse::Fresh,
-                Some(ParallelConfig::by_depth(3)),
-            );
-            assert_eq!(prop_verdicts(&par), prop_verdicts(&seq), "{strategy:?}");
-            assert_eq!(par_rank, seq_rank, "{strategy:?}");
         }
     }
 
@@ -758,7 +398,7 @@ mod tests {
             counter_problem(4, &[3, 14, 9]),
             OrderingStrategy::RefinedStatic,
             SolverReuse::Session,
-            Some(ParallelConfig::by_property(2)),
+            Some(ParallelConfig { jobs: 2 }),
         );
         assert_eq!(par.workers.len(), 2);
         assert_eq!(par.workers.iter().map(|w| w.items).sum::<u64>(), 3);
@@ -795,7 +435,7 @@ mod tests {
             );
             engine.run_collecting()
         };
-        let par = mk(SolverReuse::Session, Some(ParallelConfig::by_property(2)));
+        let par = mk(SolverReuse::Session, Some(ParallelConfig { jobs: 2 }));
         assert!(matches!(
             par.outcome,
             BmcOutcome::ResourceOut { at_depth: 0 }
@@ -805,7 +445,7 @@ mod tests {
             PropertyVerdict::Unknown
         ));
         let seq = mk(SolverReuse::Fresh, None);
-        let par = mk(SolverReuse::Fresh, Some(ParallelConfig::by_depth(4)));
+        let par = mk(SolverReuse::Fresh, Some(ParallelConfig { jobs: 4 }));
         match (&seq.outcome, &par.outcome) {
             (BmcOutcome::ResourceOut { at_depth: a }, BmcOutcome::ResourceOut { at_depth: b }) => {
                 assert_eq!(a, b);

@@ -1,7 +1,7 @@
 //! Portfolio racing: independent engine configurations race on the whole
 //! problem, first verdict wins, losers are cancelled.
 //!
-//! Where the sharded parallel modes split *one* configured run across
+//! Where a by-property parallel run splits *one* configured run across
 //! workers, a portfolio exploits a different observation of the paper's
 //! Table 1: no single decision-ordering regime dominates every instance
 //! (`bmc` wins some rows, `sta`/`dyn` others), and which one wins is hard
@@ -13,7 +13,7 @@
 //! sequential oracle solves — SAT-ness of `F_k ∧ bad_p^k` is a property of
 //! the formula, not of the solver that decides it, so falsification depths
 //! and validated traces match in every race outcome. Reproducibility is
-//! weaker than the shard modes': *which member* wins depends on scheduling
+//! weaker than a by-property run's: *which member* wins depends on scheduling
 //! (and with it the rank table and the search counters), and with a
 //! conflict budget the truncation point is the winner's. Member 0 is
 //! always the caller's own configuration, so a one-worker portfolio

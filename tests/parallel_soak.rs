@@ -1,6 +1,7 @@
-//! Soak tests of the parallel shard modes: oversubscription far past the
-//! useful worker count, cooperative cancellation (before and during a run),
-//! and the budget-exhaustion truncation contract. Every case must come back
+//! Soak tests of parallel runs in both solver-reuse regimes:
+//! oversubscription far past the useful worker count, cooperative
+//! cancellation (before and during a run), and the budget-exhaustion
+//! truncation contract. Every case must come back
 //! as a *committed* partial [`BmcRun`] — properly joined workers (the
 //! scoped pool cannot leak threads past the call), internally consistent
 //! per-property state, and verdicts that form a prefix of the sequential
@@ -10,14 +11,15 @@ use std::time::Duration;
 
 use refined_bmc::bmc::{
     BmcEngine, BmcOptions, BmcOutcome, BmcRun, CancelFlag, OrderingStrategy, ParallelConfig,
-    ProblemBuilder, PropertyVerdict, ShardMode, SolveResult, SolverReuse, VerificationProblem,
+    ProblemBuilder, PropertyVerdict, SolveResult, SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
-const SHARDS: [ShardMode; 2] = [ShardMode::ByProperty, ShardMode::ByDepth];
+/// Each property's depth loop runs a session, or a fresh solver per depth.
+const REGIMES: [SolverReuse; 2] = [SolverReuse::Session, SolverReuse::Fresh];
 
-/// Core-free and core-chained: by-depth dispatches the whole lattice under
-/// the first and a per-depth wavefront under the second.
+/// Core-free and core-chained: the second ranks every depth from the
+/// property's own earlier cores.
 const STRATEGIES: [OrderingStrategy; 2] = [
     OrderingStrategy::Standard,
     OrderingStrategy::RefinedDynamic { divisor: 64 },
@@ -45,12 +47,14 @@ fn counter_problem(width: usize, targets: &[u64]) -> VerificationProblem {
 
 fn options(
     strategy: OrderingStrategy,
+    reuse: SolverReuse,
     parallel: Option<ParallelConfig>,
     max_depth: usize,
 ) -> BmcOptions {
     BmcOptions {
         max_depth,
         strategy,
+        reuse,
         parallel,
         ..BmcOptions::default()
     }
@@ -131,17 +135,19 @@ fn oversubscribed_parallel_runs_complete_and_match_the_oracle() {
     let targets: &[u64] = &[3, 14, 9];
     const DEPTH: usize = 12;
     for strategy in STRATEGIES {
-        let mut oracle_engine =
-            BmcEngine::for_problem(counter_problem(4, targets), options(strategy, None, DEPTH));
+        let mut oracle_engine = BmcEngine::for_problem(
+            counter_problem(4, targets),
+            options(strategy, SolverReuse::Session, None, DEPTH),
+        );
         let oracle = oracle_engine.run_collecting();
-        for shard in SHARDS {
+        for reuse in REGIMES {
             for jobs in [8usize, 64, 256] {
                 let mut engine = BmcEngine::for_problem(
                     counter_problem(4, targets),
-                    options(strategy, Some(ParallelConfig { jobs, shard }), DEPTH),
+                    options(strategy, reuse, Some(ParallelConfig { jobs }), DEPTH),
                 );
                 let run = engine.run_collecting();
-                let ctx = format!("{} {} jobs={jobs}", shard.label(), strategy.label());
+                let ctx = format!("{} {} jobs={jobs}", reuse.label(), strategy.label());
                 assert_committed(&run, engine.problem(), DEPTH, &ctx);
                 for (p, o) in run.properties.iter().zip(&oracle.properties) {
                     assert_eq!(p.depth_results, o.depth_results, "{ctx}: {}", p.name);
@@ -162,17 +168,17 @@ fn precancelled_parallel_run_returns_a_committed_partial_run() {
     // straight back with a committed truncation, not hang or panic — and
     // not decide anything, even where an instance would fall to
     // propagation alone.
-    for shard in SHARDS {
+    for reuse in REGIMES {
         for strategy in STRATEGIES {
             let mut engine = BmcEngine::for_problem(
                 counter_problem(6, &[60, 61, 62]),
-                options(strategy, Some(ParallelConfig { jobs: 4, shard }), 40),
+                options(strategy, reuse, Some(ParallelConfig { jobs: 4 }), 40),
             );
             let cancel = CancelFlag::new();
             cancel.cancel();
             engine.set_cancel(cancel);
             let run = engine.run_collecting();
-            let ctx = format!("precancelled {} {}", shard.label(), strategy.label());
+            let ctx = format!("precancelled {} {}", reuse.label(), strategy.label());
             assert_committed(&run, engine.problem(), 40, &ctx);
             assert!(
                 matches!(run.outcome, BmcOutcome::ResourceOut { at_depth: 0 }),
@@ -196,24 +202,26 @@ fn midrun_cancellation_soak_leaves_consistent_state_every_time() {
     // committed partial result whose verdicts prefix the oracle's — and
     // because every worker is joined before run_collecting returns, the
     // consecutive iterations also soak for leaked worker state. The
-    // iterations cycle through both shard modes under both strategies
-    // (by-property sessions, the by-depth lattice and wavefront).
+    // iterations cycle through both reuse regimes under both strategies.
     let targets: &[u64] = &[200, 201, 202, 203];
     const DEPTH: usize = 120;
     let oracles: Vec<BmcRun> = STRATEGIES
         .iter()
         .map(|&strategy| {
-            BmcEngine::for_problem(counter_problem(8, targets), options(strategy, None, DEPTH))
-                .run_collecting()
+            BmcEngine::for_problem(
+                counter_problem(8, targets),
+                options(strategy, SolverReuse::Session, None, DEPTH),
+            )
+            .run_collecting()
         })
         .collect();
     for iteration in 0..32 {
-        let shard = SHARDS[iteration % 2];
+        let reuse = REGIMES[iteration % 2];
         let strategy_idx = (iteration / 2) % 2;
         let strategy = STRATEGIES[strategy_idx];
         let mut engine = BmcEngine::for_problem(
             counter_problem(8, targets),
-            options(strategy, Some(ParallelConfig { jobs: 16, shard }), DEPTH),
+            options(strategy, reuse, Some(ParallelConfig { jobs: 16 }), DEPTH),
         );
         let cancel = CancelFlag::new();
         engine.set_cancel(cancel.clone());
@@ -228,7 +236,7 @@ fn midrun_cancellation_soak_leaves_consistent_state_every_time() {
         });
         let ctx = format!(
             "iteration {iteration} {} {}",
-            shard.label(),
+            reuse.label(),
             strategy.label()
         );
         assert_committed(&run, engine.problem(), DEPTH, &ctx);
@@ -239,9 +247,9 @@ fn midrun_cancellation_soak_leaves_consistent_state_every_time() {
 #[test]
 fn zero_budget_truncation_is_committed_in_every_shard_mode() {
     // A zero conflict budget must surface as a committed ResourceOut run,
-    // cut exactly where the sequential regime each mode decomposes cuts:
-    // a single-property by-property run is the sequential session engine,
-    // a by-depth run the sequential fresh engine, episode for episode.
+    // cut exactly where the sequential run in the same regime cuts: a
+    // single-property by-property run is the sequential loop itself,
+    // episode for episode, in either regime.
     let mk = |reuse, parallel| {
         let mut engine = BmcEngine::for_problem(
             counter_problem(3, &[5]),
@@ -262,26 +270,23 @@ fn zero_budget_truncation_is_committed_in_every_shard_mode() {
         );
         run
     };
-    for (shard, reuse) in [
-        (ShardMode::ByProperty, SolverReuse::Session),
-        (ShardMode::ByDepth, SolverReuse::Fresh),
-    ] {
+    for reuse in REGIMES {
         let sequential = mk(reuse, None);
-        let run = mk(reuse, Some(ParallelConfig { jobs: 4, shard }));
+        let run = mk(reuse, Some(ParallelConfig { jobs: 4 }));
         let BmcOutcome::ResourceOut { at_depth } = run.outcome else {
-            panic!("{}: {:?}", shard.label(), run.outcome);
+            panic!("{}: {:?}", reuse.label(), run.outcome);
         };
         assert!(
             matches!(sequential.outcome, BmcOutcome::ResourceOut { at_depth: d } if d == at_depth),
             "{}: cut at {at_depth}, sequential {:?}",
-            shard.label(),
+            reuse.label(),
             sequential.outcome
         );
         assert_eq!(
             run.properties[0].depth_results,
             sequential.properties[0].depth_results,
             "{}",
-            shard.label()
+            reuse.label()
         );
     }
 }

@@ -1,10 +1,11 @@
 //! Differential testing of the parallel dispatch layer: on random
-//! multi-property sequential circuits, both sharding grains at every worker
-//! budget must reproduce the sequential engine's per-depth verdicts and
-//! retirement depths, be bit-identical across `jobs` values (the
-//! commit-order merge makes scheduling invisible), and — where the
-//! decomposition coincides with a sequential regime — reproduce its
-//! `varRank` table bit for bit. Every portfolio roster at every worker
+//! multi-property sequential circuits, by-property runs in both solver
+//! reuse regimes at every worker budget must reproduce the sequential
+//! engine's per-depth verdicts and retirement depths, be bit-identical
+//! across `jobs` values (the commit-order merge makes scheduling
+//! invisible), and — on single-property problems, where a by-property run
+//! is the sequential loop itself — reproduce the matching sequential
+//! regime's `varRank` table bit for bit. Every portfolio roster at every worker
 //! budget must reproduce the same verdicts, with a validating trace for
 //! every counterexample; its rank table depends on which member wins, so
 //! it is not compared.
@@ -12,7 +13,7 @@
 use proptest::prelude::*;
 use refined_bmc::bmc::{
     run_portfolio, BmcEngine, BmcOptions, BmcRun, OrderingStrategy, ParallelConfig, PortfolioMode,
-    ProblemBuilder, PropertyVerdict, ShardMode, SolveResult, SolverReuse, VerificationProblem,
+    ProblemBuilder, PropertyVerdict, SolveResult, SolverReuse, VerificationProblem,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
 
@@ -179,24 +180,27 @@ proptest! {
                         .is_ok());
                 }
             }
-            for shard in [ShardMode::ByProperty, ShardMode::ByDepth] {
+            for (reuse, seq_rank) in [
+                (SolverReuse::Session, &session_rank),
+                (SolverReuse::Fresh, &fresh_rank),
+            ] {
                 let mut jobs_baseline: Option<(Signature, Vec<u64>)> = None;
                 for jobs in [1usize, 2, 4] {
                     let (par, par_rank) = run(
                         &problem,
                         strategy,
-                        SolverReuse::Session,
-                        Some(ParallelConfig { jobs, shard }),
+                        reuse,
+                        Some(ParallelConfig { jobs }),
                         DEPTH,
                     );
                     // Verdicts and retirement depths are semantic: identical
-                    // to the sequential session engine in every mode.
+                    // to the sequential session engine in either regime.
                     prop_assert_eq!(
                         signature(&par),
                         signature(&session),
                         "{:?} {:?} jobs={}",
                         strategy,
-                        shard,
+                        reuse,
                         jobs
                     );
                     // The whole result — rank table included — is invariant
@@ -205,22 +209,14 @@ proptest! {
                         None => jobs_baseline = Some((signature(&par), par_rank.clone())),
                         Some((sig, rank)) => {
                             prop_assert_eq!(&signature(&par), sig);
-                            prop_assert_eq!(&par_rank, rank, "{:?} {:?} jobs={}", strategy, shard, jobs);
+                            prop_assert_eq!(&par_rank, rank, "{:?} {:?} jobs={}", strategy, reuse, jobs);
                         }
                     }
-                    // Where the decomposition coincides with a sequential
-                    // regime, the rank table is bit-identical to it:
-                    // depth-sharding is the fresh regime (any property
-                    // count), property-sharding is the session regime for
-                    // single-property problems.
-                    match shard {
-                        ShardMode::ByDepth => {
-                            prop_assert_eq!(&par_rank, &fresh_rank, "{:?} jobs={}", strategy, jobs);
-                        }
-                        ShardMode::ByProperty if problem.num_properties() == 1 => {
-                            prop_assert_eq!(&par_rank, &session_rank, "{:?} jobs={}", strategy, jobs);
-                        }
-                        ShardMode::ByProperty => {}
+                    // A single-property problem is the sequential loop
+                    // itself, so the rank table is bit-identical to the
+                    // sequential run in the same regime.
+                    if problem.num_properties() == 1 {
+                        prop_assert_eq!(&par_rank, seq_rank, "{:?} {:?} jobs={}", strategy, reuse, jobs);
                     }
                 }
             }
