@@ -42,9 +42,12 @@
 //!   (unbounded proofs — a holding property reports HWMCC status `0` with
 //!   the extracted invariant machine-checked before it is claimed, a
 //!   failing one the same depth-exact witness as BMC), `induction`
-//!   (k-induction proofs, no extracted invariant), or `portfolio` (the
-//!   full-mode race: the BMC grid plus the IC3 and induction provers, first
-//!   conclusive verdict wins).
+//!   (k-induction: the BMC depth loop as base case plus an incremental step
+//!   solver per property; its proofs carry no extracted invariant, so under
+//!   `--proof check` their certificates are their evidence), or `portfolio`
+//!   (the full-mode race: the BMC grid plus the IC3 and induction provers;
+//!   a conclusive verdict wins, and a bounded BMC answer only once every
+//!   prover has come back without one).
 //! - `--portfolio` races independent engine configurations per file
 //!   (first verdict wins, losers cancelled); `--portfolio-mode` picks the
 //!   roster axis (strategies, reuse regimes, or the full product —
@@ -53,9 +56,12 @@
 //!   wins); its verdicts do not.
 //! - `--selfcheck` is the differential harness: the main run, the
 //!   *opposite* solver-reuse regime, the *opposite* preprocessing regime,
-//!   and a by-property parallel run in the main run's regime must agree on
-//!   every property's per-depth verdict sequence, and every property is additionally re-checked with
-//!   fresh-per-depth single-property runs ([`SolverReuse::Fresh`]). **All**
+//!   and the *other* dispatch in the main run's regime — the sequential
+//!   engine when the main run is by-property (`--jobs` on a multi-property
+//!   file), a by-property run otherwise — must agree on every property's
+//!   per-depth verdict sequence, and every property is additionally
+//!   re-checked with fresh-per-depth single-property runs
+//!   ([`SolverReuse::Fresh`]). **All**
 //!   mismatching properties across all modes are reported before the
 //!   non-zero exit — a failure names every offender, not just the first.
 //!   Under a proving engine (`--engine ic3|induction`) the harness is
@@ -95,12 +101,14 @@
 //!   episode** through the independent checker of `rbmc-proof` — a
 //!   rejected certificate fails the file and the sweep exits non-zero (the
 //!   fail-closed CI shape, symmetric to the witness and invariant gates).
-//!   `check` also fails any file with a proof that carries no invariant
-//!   (k-induction, also as a portfolio winner): such a proof is neither
-//!   invariant-checked nor certified. The summary line counts
-//!   invariant-checked and uncertified proofs apart. Under `--selfcheck`,
-//!   the differential cross-runs inherit the proof mode, so the parallel
-//!   run is certified too.
+//!   A proof that carries no invariant (k-induction, also as a portfolio
+//!   winner) stands on its certificates: `check` accepts it only when its
+//!   run certified every UNSAT answer — each base episode and the step
+//!   query that closed the proof — and rejected none, and fails the file
+//!   otherwise. The summary line counts invariant-checked,
+//!   certificate-checked and uncertified proofs apart. Under `--selfcheck`,
+//!   the differential cross-runs inherit the proof mode, so they are
+//!   certified too.
 //! - `--smoke` shrinks the export to the small suite and the default depth
 //!   bound to 10 (CI mode).
 //!
@@ -125,9 +133,10 @@ use rbmc_circuit::lint::{lint_aiger, LintCode, LintReport};
 use rbmc_circuit::Aig;
 use rbmc_core::induction::InductionEngine;
 use rbmc_core::{
-    check_invariant, preprocess_problem, BmcEngine, BmcOptions, BmcRun, EngineKind, Ic3Engine,
-    Model, OrderingStrategy, ParallelConfig, PortfolioMode, PreprocessedProblem, ProblemBuilder,
-    ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace, VerificationProblem,
+    check_invariant, preprocess_problem, BmcEngine, BmcOptions, BmcRun, Engine, EngineKind,
+    Ic3Engine, Model, OrderingStrategy, ParallelConfig, PortfolioMode, PreprocessedProblem,
+    ProblemBuilder, ProofMode, PropertyVerdict, SolveResult, SolverReuse, Trace,
+    VerificationProblem,
 };
 
 /// Flags that take a value (the next argument).
@@ -468,12 +477,13 @@ fn proof_mismatch(stem: &str, run: &BmcRun, mode_label: &str) -> Option<String> 
     ))
 }
 
-/// The fail-closed gate of `--proof check` for proofs: a `Proved` verdict
-/// without an invariant (k-induction, also when it wins a portfolio race)
-/// was established by neither a checked invariant nor a checked
-/// certificate, so a certified sweep must not report it. Returns one
-/// diagnostic naming every such property, or `None` when the run is clean
-/// or the mode does not check.
+/// The fail-closed gate of `--proof check` for proofs without an invariant
+/// (k-induction, also when it wins a portfolio race): such a proof stands
+/// on its certificates alone, so a certified sweep reports it only when its
+/// run certified every UNSAT answer — one per UNSAT base episode and one
+/// per such proof, for the step query that closed it — and rejected none.
+/// Returns one diagnostic naming every such proof otherwise, or `None`
+/// when the run is clean or the mode does not check.
 fn uncertified_proofs(stem: &str, run: &BmcRun, mode: ProofMode) -> Option<String> {
     if !mode.checks() {
         return None;
@@ -492,10 +502,16 @@ fn uncertified_proofs(stem: &str, run: &BmcRun, mode: ProofMode) -> Option<Strin
         })
         .map(|p| p.name.as_str())
         .collect();
-    (!names.is_empty()).then(|| {
+    let base = run.properties.iter().flat_map(|p| &p.depth_results);
+    let unsat = base.filter(|r| **r == SolveResult::Unsat).count() + names.len();
+    let certified = run
+        .proof
+        .as_ref()
+        .is_some_and(|proof| !proof.rejected() && proof.episodes_certified == unsat as u64);
+    (!names.is_empty() && !certified).then(|| {
         format!(
             "{stem}: --proof check: {} proof{} carr{} neither a checked invariant nor a \
-             certificate: {}",
+             fully certified run: {}",
             names.len(),
             if names.len() == 1 { "" } else { "s" },
             if names.len() == 1 { "ies" } else { "y" },
@@ -504,9 +520,11 @@ fn uncertified_proofs(stem: &str, run: &BmcRun, mode: ProofMode) -> Option<Strin
     })
 }
 
-/// Splits the sweep's proved cases into (invariant-checked, uncertified) by
-/// their `invariant_clauses` extra (`-1` marks a proof without invariant).
-fn proof_counts(cases: &[BenchCase]) -> (usize, usize) {
+/// Splits the sweep's proved cases into (invariant-checked,
+/// certificate-checked, uncertified) by their `invariant_clauses` extra
+/// (`-1` marks a proof without invariant). Under `--proof check` every
+/// reported proof without invariant passed [`uncertified_proofs`].
+fn proof_counts(cases: &[BenchCase], mode: ProofMode) -> (usize, usize, usize) {
     let extra = |c: &BenchCase, key: &str| {
         c.extra
             .iter()
@@ -514,11 +532,34 @@ fn proof_counts(cases: &[BenchCase]) -> (usize, usize) {
             .map_or(-1.0, |(_, v)| *v)
     };
     let proved: Vec<&BenchCase> = cases.iter().filter(|c| extra(c, "proved") > 0.0).collect();
-    let checked = proved
+    let invariant = proved
         .iter()
         .filter(|c| extra(c, "invariant_clauses") >= 0.0)
         .count();
-    (checked, proved.len() - checked)
+    let rest = proved.len() - invariant;
+    if mode.checks() {
+        (invariant, rest, 0)
+    } else {
+        (invariant, 0, rest)
+    }
+}
+
+/// The dispatch cross-run of `--selfcheck`, in the main run's reuse and
+/// preprocessing regime: a by-property main run is checked against the
+/// sequential engine, a sequential one against a by-property run (on one
+/// worker, so each file worker still runs one solver thread).
+fn dispatch_cross_run(options: &BmcOptions) -> (BmcOptions, &'static str) {
+    let (parallel, label) = match options.parallel {
+        Some(_) => (None, "sequential"),
+        None => (Some(ParallelConfig { jobs: 1 }), "parallel by-property"),
+    };
+    (
+        BmcOptions {
+            parallel,
+            ..*options
+        },
+        label,
+    )
 }
 
 /// Re-runs the whole problem under an alternative configuration and returns
@@ -635,35 +676,28 @@ fn check_file(
     }
     let problem = builder.build();
     // The preprocessing view of the file: shape report for the log line and
-    // BENCH extras, don't-care masks for witness `x` positions. Computed
-    // here (the pass is deterministic, so this matches what the engine does
+    // BENCH extras, don't-care masks for witness `x` positions, and the
+    // engines' working model — the coordinate system of IC3's invariant
+    // clauses, for the invariant machine-check gate below. Computed here
+    // (the pass is deterministic, so this matches what the engine does
     // internally) because the portfolio path never exposes its engines.
     let pp: Option<PreprocessedProblem> = options.preprocess.then(|| preprocess_problem(&problem));
+    let working = Model::from_problem(pp.as_ref().map_or(&problem, |pp| &pp.problem).clone());
     let wall = Instant::now();
-    // `working` is the IC3 engine's (possibly preprocessed) model — the
-    // coordinate system its invariant clauses live in, kept around for the
-    // invariant machine-check gate below.
-    let (run, race, working): (BmcRun, _, Option<Model>) = match portfolio {
+    let (run, race) = match portfolio {
         Some((mode, jobs)) => {
             let race = rbmc_core::run_portfolio(&problem, options, mode, jobs);
-            (race.run.clone(), Some(race), None)
+            (race.run.clone(), Some(race))
         }
-        None => match engine_kind {
-            EngineKind::Bmc => {
-                let mut engine = BmcEngine::for_problem(problem.clone(), *options);
-                (engine.run_collecting(), None, None)
-            }
-            EngineKind::Ic3 => {
-                let mut engine = Ic3Engine::for_problem(problem.clone(), *options);
-                let run = engine.run_collecting();
-                let working = engine.working_model().clone();
-                (run, None, Some(working))
-            }
-            EngineKind::Induction => {
-                let mut engine = InductionEngine::for_problem(problem.clone(), *options);
-                (engine.run_collecting(), None, None)
-            }
-        },
+        None => {
+            let problem = problem.clone();
+            let mut engine: Box<dyn Engine> = match engine_kind {
+                EngineKind::Bmc => Box::new(BmcEngine::for_problem(problem, *options)),
+                EngineKind::Ic3 => Box::new(Ic3Engine::for_problem(problem, *options)),
+                EngineKind::Induction => Box::new(InductionEngine::for_problem(problem, *options)),
+            };
+            (engine.run_collecting(), None)
+        }
     };
     let wall = wall.elapsed();
 
@@ -811,22 +845,16 @@ fn check_file(
             _ => None,
         };
         // Proof soundness gate, symmetric to the witness gate: an IC3
-        // invariant must pass the independent inductive check (init ⊆ inv,
-        // inv ∧ T ⇒ inv', inv ⇒ ¬bad) against the engine's working model
-        // before the proved status is emitted.
+        // invariant (also a portfolio winner's) must pass the independent
+        // inductive check (init ⊆ inv, inv ∧ T ⇒ inv', inv ⇒ ¬bad) against
+        // the engine's working model before the proved status is emitted.
         if let PropertyVerdict::Proved {
             invariant_clauses: Some(clauses),
             ..
         } = &prop_report.verdict
         {
-            let working = working.as_ref().ok_or_else(|| {
-                format!(
-                    "{stem}::{}: proved verdict with invariant outside the ic3 engine",
-                    prop_report.name
-                )
-            })?;
             let bad = working.problem().property(idx).bad();
-            check_invariant(working, bad, clauses).map_err(|e| {
+            check_invariant(&working, bad, clauses).map_err(|e| {
                 format!(
                     "{stem}::{}: invariant fails the inductive check: {e}",
                     prop_report.name
@@ -997,14 +1025,10 @@ fn check_file(
         );
     } else if selfcheck {
         // The differential harness: the opposite solver-reuse regime, the
-        // opposite preprocessing regime and a by-property parallel run must
-        // all reproduce the main run's per-depth verdicts property for
+        // opposite preprocessing regime and the other dispatch must all
+        // reproduce the main run's per-depth verdicts property for
         // property. All mismatches across all modes are collected before
-        // failing, so one bad file reports its complete offender set. The
-        // parallel cross-run inherits the main run's engine worker budget —
-        // hard-coding a larger count here would quietly break the sweep's
-        // no-more-than-~jobs-threads guarantee inside each file worker.
-        let cross_jobs = options.parallel.map_or(1, |c| c.jobs);
+        // failing, so one bad file reports its complete offender set.
         let other_reuse = match options.reuse {
             SolverReuse::Session => SolverReuse::Fresh,
             SolverReuse::Fresh => SolverReuse::Session,
@@ -1039,18 +1063,8 @@ fn check_file(
                 "preprocessing on"
             },
         ));
-        // The by-property cross-run, in the main run's own reuse regime:
-        // each property's depth loop on its own.
-        mismatches.extend(cross_check(
-            &stem,
-            &problem,
-            &run,
-            &BmcOptions {
-                parallel: Some(ParallelConfig { jobs: cross_jobs }),
-                ..*options
-            },
-            "parallel by-property",
-        ));
+        let (dispatch, label) = dispatch_cross_run(options);
+        mismatches.extend(cross_check(&stem, &problem, &run, &dispatch, label));
         // The per-property differential gate: each property re-checked
         // alone, with a fresh solver per depth; per-depth verdicts must be
         // identical.
@@ -1091,8 +1105,8 @@ fn check_file(
         }
         let _ = writeln!(
             out,
-            "  selfcheck: verdicts match across fresh/session/parallel runs \
-             and both preprocessing regimes"
+            "  selfcheck: verdicts match across fresh/session runs, sequential \
+             and by-property dispatch, and both preprocessing regimes"
         );
     }
     Ok(FileDisposition::Checked)
@@ -1347,7 +1361,8 @@ fn main() -> ExitCode {
                 .any(|(k, v)| k == "retirement_depth" && *v >= 0.0)
         })
         .count();
-    let (proved_checked, proved_uncertified) = proof_counts(&report.cases);
+    let (proved_invariant, proved_certificate, proved_uncertified) =
+        proof_counts(&report.cases, proof_mode);
     // Lint totals, one contribution per file (every property of a file
     // carries the same counts; skipped files contribute via their one case).
     let (mut lint_warnings, mut lint_errors) = (0u64, 0u64);
@@ -1367,15 +1382,16 @@ fn main() -> ExitCode {
     let properties = report.cases.len() - skipped;
     println!(
         "\nchecked {} files / {} properties in {:.3}s: {} falsified (witnesses validated), \
-         {} proved (invariants checked), {} proved uncertified, {} open, {} skipped, \
-         {} failures; lint: {} warning{}, {} error{}",
+         {} proved (invariants checked), {} proved (certificates checked), \
+         {} proved uncertified, {} open, {} skipped, {} failures; lint: {} warning{}, {} error{}",
         files.len() - skipped,
         properties,
         start.elapsed().as_secs_f64(),
         falsified,
-        proved_checked,
+        proved_invariant,
+        proved_certificate,
         proved_uncertified,
-        properties - falsified - proved_checked - proved_uncertified,
+        properties - falsified - proved_invariant - proved_certificate - proved_uncertified,
         skipped,
         failures,
         lint_warnings,
@@ -1394,11 +1410,15 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::{
-        proof_counts, uncertified_proofs, verdict_mismatches, witness_text, SWITCHES, VALUE_FLAGS,
+        dispatch_cross_run, proof_counts, uncertified_proofs, verdict_mismatches, witness_text,
+        SWITCHES, VALUE_FLAGS,
     };
     use rbmc_bench::BenchCase;
     use rbmc_core::SolveResult::{Sat, Unsat};
-    use rbmc_core::{BmcOutcome, BmcRun, ProofMode, PropertyReport, PropertyVerdict, Trace};
+    use rbmc_core::{
+        BmcOptions, BmcOutcome, BmcRun, ParallelConfig, ProofMode, ProofSummary, PropertyReport,
+        PropertyVerdict, SolverReuse, Trace,
+    };
     use std::path::PathBuf;
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -1479,6 +1499,28 @@ mod tests {
     }
 
     #[test]
+    fn selfcheck_cross_runs_the_other_dispatch() {
+        let sequential = BmcOptions {
+            reuse: SolverReuse::Fresh,
+            preprocess: false,
+            ..BmcOptions::default()
+        };
+        let (cross, label) = dispatch_cross_run(&sequential);
+        assert_eq!(cross.parallel, Some(ParallelConfig { jobs: 1 }));
+        assert_eq!(label, "parallel by-property");
+        let by_property = BmcOptions {
+            parallel: Some(ParallelConfig { jobs: 2 }),
+            ..sequential
+        };
+        let (cross, label) = dispatch_cross_run(&by_property);
+        assert_eq!(cross.parallel, None);
+        assert_eq!(label, "sequential");
+        // Either way the cross-run keeps the main run's regime.
+        assert_eq!(cross.reuse, SolverReuse::Fresh);
+        assert!(!cross.preprocess);
+    }
+
+    #[test]
     fn verdict_mismatches_is_empty_on_agreement() {
         let seqs = vec![vec![Unsat, Sat]];
         assert!(verdict_mismatches("file", &["p0"], &seqs, &seqs, "mode").is_empty());
@@ -1543,6 +1585,38 @@ mod tests {
         // Only `--proof check` promises certification.
         assert_eq!(uncertified_proofs("file", &run, ProofMode::Log), None);
         assert_eq!(uncertified_proofs("file", &run, ProofMode::Off), None);
+        // A run that certified every UNSAT answer — here the two base
+        // episodes behind each depth-1 proof plus its closing step query —
+        // vouches for its proofs; one rejection or one missing certificate
+        // does not.
+        let mut certified = run_with(vec![
+            (
+                "kind",
+                PropertyVerdict::Proved {
+                    depth: 1,
+                    invariant_clauses: None,
+                },
+            ),
+            ("open", PropertyVerdict::OpenAt { depth: 1 }),
+        ]);
+        for p in &mut certified.properties {
+            p.depth_results = vec![Unsat, Unsat];
+        }
+        let summary = |episodes_certified, rejections| ProofSummary {
+            episodes_certified,
+            rejections,
+            ..ProofSummary::default()
+        };
+        certified.proof = Some(summary(5, 0));
+        assert_eq!(
+            uncertified_proofs("file", &certified, ProofMode::Check),
+            None
+        );
+        for (episodes, rejections) in [(4, 0), (4, 1)] {
+            certified.proof = Some(summary(episodes, rejections));
+            let err = uncertified_proofs("file", &certified, ProofMode::Check);
+            assert!(err.is_some_and(|e| e.contains("kind")));
+        }
         // An invariant-carrying proof passes the gate.
         let clean = run_with(vec![(
             "inv",
@@ -1576,6 +1650,9 @@ mod tests {
             case(1.0, -1.0),
             case(0.0, -1.0),
         ];
-        assert_eq!(proof_counts(&cases), (2, 1));
+        assert_eq!(proof_counts(&cases, ProofMode::Log), (2, 0, 1));
+        // A `--proof check` sweep reports a proof without invariant only
+        // once its certificates passed the gate.
+        assert_eq!(proof_counts(&cases, ProofMode::Check), (2, 1, 0));
     }
 }

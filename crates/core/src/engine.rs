@@ -43,7 +43,7 @@ use crate::episode::{
     add_clauses, commit_rank, fresh_episode, Episode, EpisodeCtx, RunFold, Session, SessionSummary,
 };
 use crate::parallel::{self, ParallelConfig, WorkerReport};
-use crate::preprocess::preprocess_problem;
+use crate::preprocess::WorkingModel;
 use crate::{Model, Trace, TraceLift, VarRank, VerificationProblem, Weighting};
 use rbmc_circuit::preprocess::PreprocessReport;
 
@@ -444,26 +444,19 @@ impl BmcRun {
 /// AIGER/HWMCC front door). See the [crate docs](crate) for a complete
 /// example.
 pub struct BmcEngine {
-    /// The working model the solver sees (preprocessed when
+    /// The model the solver sees (preprocessed when
     /// [`BmcOptions::preprocess`] is on).
-    model: Model,
-    /// The problem as given, when preprocessing rebuilt it (`None` means the
-    /// working model *is* the original).
-    original: Option<Model>,
-    /// Trace map from working to original coordinates.
-    lift: Option<TraceLift>,
-    /// Shape accounting of the preprocessing pass.
-    pp_report: Option<PreprocessReport>,
-    options: BmcOptions,
-    rank: VarRank,
-    cancel: Option<CancelFlag>,
+    pub(crate) working: WorkingModel,
+    pub(crate) options: BmcOptions,
+    pub(crate) rank: VarRank,
+    pub(crate) cancel: Option<CancelFlag>,
 }
 
 impl fmt::Debug for BmcEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BmcEngine")
-            .field("problem", &self.model.name())
-            .field("properties", &self.model.problem().num_properties())
+            .field("problem", &self.working.model.name())
+            .field("properties", &self.working.model.problem().num_properties())
             .field("options", &self.options)
             .finish()
     }
@@ -476,23 +469,8 @@ impl BmcEngine {
     /// run's workers share the engine's working model, so they inherit the
     /// reduction.
     pub fn new(model: Model, options: BmcOptions) -> BmcEngine {
-        let (model, original, lift, pp_report) = if options.preprocess {
-            let problem = model.into_problem();
-            let pp = preprocess_problem(&problem);
-            (
-                Model::from_problem(pp.problem),
-                Some(Model::from_problem(problem)),
-                Some(pp.lift),
-                Some(pp.report),
-            )
-        } else {
-            (model, None, None, None)
-        };
         BmcEngine {
-            model,
-            original,
-            lift,
-            pp_report,
+            working: WorkingModel::new(model, options.preprocess),
             options,
             rank: VarRank::new(options.weighting),
             cancel: None,
@@ -511,7 +489,7 @@ impl BmcEngine {
     /// returns are in this model's coordinates, whether or not
     /// preprocessing reduced the working copy.
     pub fn model(&self) -> &Model {
-        self.original.as_ref().unwrap_or(&self.model)
+        self.working.original()
     }
 
     /// The working model the solver actually encodes: the preprocessed
@@ -519,7 +497,7 @@ impl BmcEngine {
     /// anything), otherwise the model as given. Its netlist sizes are the
     /// ones per-depth CNF statistics refer to.
     pub fn working_model(&self) -> &Model {
-        &self.model
+        &self.working.model
     }
 
     /// The full problem under check, as given.
@@ -530,14 +508,14 @@ impl BmcEngine {
     /// Shape accounting of the preprocessing pass (`None` when
     /// [`BmcOptions::preprocess`] is off).
     pub fn preprocess_report(&self) -> Option<&PreprocessReport> {
-        self.pp_report.as_ref()
+        self.working.report()
     }
 
     /// The trace map from working to original coordinates (`None` when
     /// preprocessing is off). Witness printers use its don't-care masks to
     /// emit `x` for state no property can observe.
     pub fn trace_lift(&self) -> Option<&TraceLift> {
-        self.lift.as_ref()
+        self.working.lift()
     }
 
     /// The accumulated `varRank` (inspect after a run).
@@ -566,53 +544,65 @@ impl BmcEngine {
     /// properties are dispatched onto a scoped worker pool instead (see
     /// [`ParallelConfig`] for the determinism contract).
     pub fn run_collecting(&mut self) -> BmcRun {
-        let mut run = match self.options.parallel {
+        let run = match self.options.parallel {
             Some(config) => parallel::run_by_property(
-                &self.model,
+                &self.working.model,
                 &self.options,
                 self.cancel.as_ref(),
                 &mut self.rank,
                 config.jobs,
             ),
-            None => self.run_inline(),
+            None => run_inline(
+                &self.working.model,
+                &self.options,
+                self.cancel.as_ref(),
+                &mut self.rank,
+                |_, _| Vec::new(),
+            ),
         };
+        self.finish_run(run)
+    }
+
+    /// Completes a run of this engine's depth loop: the rank-table peaks,
+    /// and every trace lifted to the problem as given.
+    pub(crate) fn finish_run(&self, mut run: BmcRun) -> BmcRun {
         // Peak varRank storage. The table only ever shrinks on a
         // LastOnly-weighting reset, whose next update immediately refills it
         // with the newest core, so the post-run size is the high-water mark.
         let stats = &mut run.solver_stats;
         stats.rank_peak_entries = stats.rank_peak_entries.max(self.rank.num_entries() as u64);
         stats.rank_peak_bytes = stats.rank_peak_bytes.max(self.rank.approx_bytes() as u64);
-        // Lift traces out of the working model's coordinates: callers only
-        // ever see the problem they posed.
-        if let Some(lift) = self.lift.as_ref().filter(|l| !l.is_identity()) {
-            if let BmcOutcome::Counterexample { trace, .. } = &mut run.outcome {
-                *trace = lift.lift(trace);
-            }
-            for prop in &mut run.properties {
-                if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
-                    *trace = lift.lift(trace);
-                }
-            }
-        }
+        self.working.lift_traces(&mut run);
         run
     }
+}
 
-    /// The sequential engine: [`run_sequential`] over every property,
-    /// folding each depth as the loop commits it. Traces are in
-    /// working-model coordinates; [`BmcEngine::run_collecting`] lifts them.
-    fn run_inline(&mut self) -> BmcRun {
-        let run_start = Instant::now();
-        let ctx = EpisodeCtx::new(&self.model, &self.options, self.cancel.as_ref());
-        let props: Vec<usize> = (0..self.model.problem().num_properties()).collect();
-        let mut fold = RunFold::new(&self.model);
-        let session = run_sequential(&ctx, &props, &mut self.rank, |k, episodes, time| {
-            fold.fold_depth(k, ctx.unroller.num_vars_at(k), episodes, Some(time));
-        });
-        if let Some(session) = session {
-            fold.add_solver(session);
-        }
-        fold.finish(ctx.unroller.peak_cached_clauses(), Vec::new(), run_start)
+/// The sequential engine: [`run_sequential`] over every property of
+/// `model`, folding each depth as the loop commits it. After each depth's
+/// episodes, `after_depth(k, episodes)` returns the properties to retire
+/// besides the falsified ones: BMC retires none, k-induction the ones its
+/// step case just proved. Traces are in working-model coordinates;
+/// [`BmcEngine::finish_run`] lifts them.
+pub(crate) fn run_inline(
+    model: &Model,
+    options: &BmcOptions,
+    cancel: Option<&CancelFlag>,
+    rank: &mut VarRank,
+    mut after_depth: impl FnMut(usize, &[(usize, Episode)]) -> Vec<usize>,
+) -> BmcRun {
+    let run_start = Instant::now();
+    let ctx = EpisodeCtx::new(model, options, cancel);
+    let props: Vec<usize> = (0..model.problem().num_properties()).collect();
+    let mut fold = RunFold::new(model);
+    let session = run_sequential(&ctx, &props, rank, |k, episodes, time| {
+        let retire = after_depth(k, &episodes);
+        fold.fold_depth(k, ctx.unroller.num_vars_at(k), episodes, Some(time));
+        retire
+    });
+    if let Some(session) = session {
+        fold.add_solver(session);
     }
+    fold.finish(ctx.unroller.peak_cached_clauses(), Vec::new(), run_start)
 }
 
 /// The loop of Fig. 5 over the properties `props` (indices into the working
@@ -626,10 +616,10 @@ impl BmcEngine {
 /// commits the depth's cores to `rank`, hands the depth's episodes to
 /// `commit(k, episodes, time)` — `(property, episode)` pairs in property
 /// order, with the depth's wall time — and crosses the depth boundary. A
-/// SAT episode retires its property; an Unknown one (budget or
-/// cancellation) ends the loop after its depth commits. Returns the session
-/// solver's summary (`None` in the fresh regime, whose episodes carry their
-/// own).
+/// SAT episode retires its property, and so does every property `commit`
+/// returns; an Unknown episode (budget or cancellation) ends the loop after
+/// its depth commits. Returns the session solver's summary (`None` in the
+/// fresh regime, whose episodes carry their own).
 ///
 /// The session call order is a contract (`perfbench` replays it from
 /// public calls and compares every per-depth counter): frame delta, then
@@ -640,7 +630,7 @@ pub(crate) fn run_sequential(
     ctx: &EpisodeCtx<'_>,
     props: &[usize],
     rank: &mut VarRank,
-    mut commit: impl FnMut(usize, Vec<(usize, Episode)>, Duration),
+    mut commit: impl FnMut(usize, Vec<(usize, Episode)>, Duration) -> Vec<usize>,
 ) -> Option<SessionSummary> {
     let options = &ctx.options;
     let unroller = &ctx.unroller;
@@ -688,7 +678,10 @@ pub(crate) fn run_sequential(
             k,
             episodes.iter().map(|(_, episode)| episode.core.as_slice()),
         );
-        commit(k, episodes, time);
+        for p in commit(k, episodes, time) {
+            let slot = props.iter().position(|&q| q == p);
+            open[slot.expect("only a scheduled property retires")] = false;
+        }
         if let Some(session) = session.as_mut() {
             session.end_depth();
         }

@@ -10,7 +10,9 @@
 //! - [`Session`] — a persistent solver with its proof certifier and a
 //!   frames-loaded cursor. [`Session::episode`] solves one property at one
 //!   depth under an activation literal; [`Session::end_depth`] is the depth
-//!   boundary (CDG pruning, `debug-invariants` audits).
+//!   boundary (CDG pruning, `debug-invariants` audits). k-induction's step
+//!   solvers are sessions too, querying through
+//!   [`Session::solve_activated`].
 //! - [`fresh_episode`] — the paper's original regime: a solver provisioned
 //!   for one instance, loaded with the whole prefix plus the bad-state
 //!   unit, and discarded after the verdict.
@@ -24,7 +26,7 @@
 
 use std::time::{Duration, Instant};
 
-use rbmc_cnf::{Clauses, Var};
+use rbmc_cnf::{Clauses, Lit, Var};
 use rbmc_solver::{CancelFlag, Limits, SolveResult, Solver, SolverStats};
 
 use crate::certify::{self, EpisodeCertifier};
@@ -203,6 +205,14 @@ pub(crate) struct SessionSummary {
     proof: Option<ProofSummary>,
 }
 
+impl SessionSummary {
+    /// Adds this solver's counters and proof summary to a run's totals.
+    pub(crate) fn add_to(self, stats: &mut SolverStats, proof: &mut Option<ProofSummary>) {
+        stats.accumulate(&self.stats);
+        certify::merge_opt(proof, self.proof);
+    }
+}
+
 /// A persistent BMC solver: one [`Solver`] configured by
 /// [`strategy_solver_options`], its proof certifier, and the cursor of
 /// frames loaded so far.
@@ -285,6 +295,35 @@ impl Session {
         }
         let result = self.solver.solve_under_limited(&[act], &ctx.limits);
         let mut episode = ctx.conclude(&self.solver, result, &base, k, p);
+        self.close(act, result);
+        episode.time = start.elapsed();
+        episode
+    }
+
+    /// Adds `clause` for the rest of the session.
+    pub(crate) fn add_clause(&mut self, clause: &[Lit]) {
+        self.solver.add_clause(clause);
+    }
+
+    /// A query outside the BMC episodes — k-induction's step case: adds
+    /// `act → target`, solves under `act` within `limits`, and closes `act`
+    /// as an episode does.
+    pub(crate) fn solve_activated(
+        &mut self,
+        act: Lit,
+        target: Lit,
+        limits: &Limits,
+    ) -> SolveResult {
+        self.solver.add_clause(&[!act, target]);
+        let result = self.solver.solve_under_limited(&[act], limits);
+        self.close(act, result);
+        result
+    }
+
+    /// Closes an activated query: a conclusive one retires `act` for good
+    /// with a `¬act` unit, and an UNSAT one is certified against its
+    /// just-recorded final clause.
+    fn close(&mut self, act: Lit, result: SolveResult) {
         if result != SolveResult::Unknown {
             self.solver.add_clause(&[!act]);
         }
@@ -293,8 +332,6 @@ impl Session {
                 cert.observe_unsat();
             }
         }
-        episode.time = start.elapsed();
-        episode
     }
 
     /// The depth boundary. The `¬a` retirements have just cut a batch of
@@ -534,8 +571,7 @@ impl RunFold {
 
     /// Adds a finished solver's counters and proof summary to the run.
     pub(crate) fn add_solver(&mut self, summary: SessionSummary) {
-        self.solver_stats.accumulate(&summary.stats);
-        certify::merge_opt(&mut self.proof, summary.proof);
+        summary.add_to(&mut self.solver_stats, &mut self.proof);
     }
 
     /// The finished run. The outcome follows the sequential precedence: the

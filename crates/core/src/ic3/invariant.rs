@@ -78,26 +78,16 @@ fn latch_lit(
     }
 }
 
-/// Emits the combinational logic of one frame (constant pinning plus every
-/// gate), leaving latches and inputs free, and — for `frame ≥ 1` — the
-/// transition clauses tying this frame's latches to the previous frame.
-fn emit_step_frame(unroller: &Unroller<'_>, frame: usize, formula: &mut CnfFormula) {
-    let netlist = unroller.model().netlist();
-    formula.add_clause([unroller.var_of(NodeId::CONST, frame).negative()]);
-    for id in netlist.node_ids() {
-        match netlist.node(id) {
-            Node::Latch {
-                next: Some(next), ..
-            } if frame > 0 => {
-                let cur = unroller.var_of(id, frame).positive();
-                let prev = unroller.lit_of(*next, frame - 1);
-                formula.add_clause([!cur, prev]);
-                formula.add_clause([cur, !prev]);
-            }
-            Node::Gate { .. } => unroller.emit_gate_for(id, frame, formula),
-            _ => {}
+/// Frames `0..=k` of the uninitialized unrolling — every register and
+/// input free at frame 0 — as a fresh formula.
+fn free_frames(unroller: &Unroller<'_>, k: usize) -> CnfFormula {
+    let mut formula = CnfFormula::with_vars(unroller.num_vars_at(k));
+    unroller.with_prefix(k, |clauses| {
+        for clause in clauses {
+            formula.add_clause(clause);
         }
-    }
+    });
+    formula
 }
 
 fn solve(formula: &CnfFormula) -> SolveResult {
@@ -119,7 +109,7 @@ pub fn check_invariant(
     bad: Signal,
     clauses: &[InvariantClause],
 ) -> Result<(), InvariantError> {
-    let unroller = Unroller::new(model);
+    let unroller = Unroller::uninitialized(model);
     let latches = model.netlist().latches().clone();
 
     // 1. Initiation: I ∧ ¬c is UNSAT for every clause c. ¬c pins each of
@@ -152,9 +142,7 @@ pub fn check_invariant(
     // combinational logic (for the next-state functions), frame 1 the
     // latch transitions; ¬inv' is a disjunction over per-clause selectors.
     if !clauses.is_empty() {
-        let mut formula = CnfFormula::with_vars(unroller.num_vars_at(1));
-        emit_step_frame(&unroller, 0, &mut formula);
-        emit_step_frame(&unroller, 1, &mut formula);
+        let mut formula = free_frames(&unroller, 1);
         for clause in clauses {
             let lits: Vec<Lit> = clause
                 .iter()
@@ -178,8 +166,7 @@ pub fn check_invariant(
     }
 
     // 3. Safety: inv ∧ bad is UNSAT, inputs free.
-    let mut formula = CnfFormula::with_vars(unroller.num_vars_at(0));
-    emit_step_frame(&unroller, 0, &mut formula);
+    let mut formula = free_frames(&unroller, 0);
     for clause in clauses {
         let lits: Vec<Lit> = clause
             .iter()

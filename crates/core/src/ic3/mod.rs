@@ -74,7 +74,7 @@ use crate::engine::{
     PropertyReport, PropertyVerdict,
 };
 use crate::engine_trait::Engine;
-use crate::preprocess::preprocess_problem;
+use crate::preprocess::WorkingModel;
 use crate::{Model, Trace, TraceLift, Unroller, VarRank, VerificationProblem};
 
 use frames::{Cube, Frames};
@@ -109,15 +109,9 @@ use invariant::invariant_clauses_from;
 /// ));
 /// ```
 pub struct Ic3Engine {
-    /// The working model the solver sees (preprocessed when
+    /// The model the solver sees (preprocessed when
     /// [`BmcOptions::preprocess`] is on).
-    model: Model,
-    /// The problem as given, when preprocessing rebuilt it.
-    original: Option<Model>,
-    /// Trace map from working to original coordinates.
-    lift: Option<TraceLift>,
-    /// Shape accounting of the preprocessing pass.
-    pp_report: Option<PreprocessReport>,
+    working: WorkingModel,
     options: BmcOptions,
     cancel: Option<CancelFlag>,
 }
@@ -125,8 +119,8 @@ pub struct Ic3Engine {
 impl fmt::Debug for Ic3Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ic3Engine")
-            .field("problem", &self.model.name())
-            .field("properties", &self.model.problem().num_properties())
+            .field("problem", &self.working.model.name())
+            .field("properties", &self.working.model.problem().num_properties())
             .field("options", &self.options)
             .finish()
     }
@@ -138,23 +132,8 @@ impl Ic3Engine {
     /// with [`BmcOptions::preprocess`] on, the model is structurally
     /// reduced once here and every verdict is lifted back.
     pub fn new(model: Model, options: BmcOptions) -> Ic3Engine {
-        let (model, original, lift, pp_report) = if options.preprocess {
-            let problem = model.into_problem();
-            let pp = preprocess_problem(&problem);
-            (
-                Model::from_problem(pp.problem),
-                Some(Model::from_problem(problem)),
-                Some(pp.lift),
-                Some(pp.report),
-            )
-        } else {
-            (model, None, None, None)
-        };
         Ic3Engine {
-            model,
-            original,
-            lift,
-            pp_report,
+            working: WorkingModel::new(model, options.preprocess),
             options,
             cancel: None,
         }
@@ -168,13 +147,13 @@ impl Ic3Engine {
 
     /// The model under check **as given** (traces are in its coordinates).
     pub fn model(&self) -> &Model {
-        self.original.as_ref().unwrap_or(&self.model)
+        self.working.original()
     }
 
     /// The working model the solver actually encodes — the coordinate
     /// system of [`PropertyVerdict::Proved`] invariant clauses.
     pub fn working_model(&self) -> &Model {
-        &self.model
+        &self.working.model
     }
 
     /// The full problem under check, as given.
@@ -184,13 +163,13 @@ impl Ic3Engine {
 
     /// Shape accounting of the preprocessing pass (`None` when off).
     pub fn preprocess_report(&self) -> Option<&PreprocessReport> {
-        self.pp_report.as_ref()
+        self.working.report()
     }
 
     /// The trace map from working to original coordinates (`None` when
     /// preprocessing is off).
     pub fn trace_lift(&self) -> Option<&TraceLift> {
-        self.lift.as_ref()
+        self.working.lift()
     }
 
     /// Attaches a cooperative cancellation flag (portfolio racing): every
@@ -211,8 +190,8 @@ impl Ic3Engine {
     /// `k`, which is what the differential harnesses compare).
     pub fn run_collecting(&mut self) -> BmcRun {
         let run_start = Instant::now();
-        let props: Vec<(String, Signal)> = self
-            .model
+        let model = &self.working.model;
+        let props: Vec<(String, Signal)> = model
             .problem()
             .properties()
             .iter()
@@ -223,7 +202,7 @@ impl Ic3Engine {
         let mut per_depth: Vec<DepthStats> = Vec::new();
         let mut proof_acc: Option<crate::ProofSummary> = None;
         for (name, bad) in props {
-            let mut runner = PropRunner::new(&self.model, bad, &self.options, self.cancel.as_ref());
+            let mut runner = PropRunner::new(model, bad, &self.options, self.cancel.as_ref());
             let (report, frontier_stats) = runner.run(name);
             aggregate.accumulate(runner.solver.stats());
             crate::certify::merge_opt(
@@ -244,17 +223,7 @@ impl Ic3Engine {
             total_time: run_start.elapsed(),
             proof: proof_acc,
         };
-        // Lift traces out of the working model's coordinates, as BMC does.
-        if let Some(lift) = self.lift.as_ref().filter(|l| !l.is_identity()) {
-            if let BmcOutcome::Counterexample { trace, .. } = &mut run.outcome {
-                *trace = lift.lift(trace);
-            }
-            for prop in &mut run.properties {
-                if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
-                    *trace = lift.lift(trace);
-                }
-            }
-        }
+        self.working.lift_traces(&mut run);
         run
     }
 }
@@ -279,9 +248,7 @@ impl Engine for Ic3Engine {
 
 /// The summary outcome over the per-property reports, with BMC's
 /// precedence: a counterexample outranks a truncation outranks completion.
-/// Shared with the other proving engine (k-induction), whose reports use
-/// the same verdict vocabulary.
-pub(crate) fn summarize(reports: &[PropertyReport], max_depth: usize) -> BmcOutcome {
+fn summarize(reports: &[PropertyReport], max_depth: usize) -> BmcOutcome {
     let mut best: Option<(usize, &Trace)> = None;
     for report in reports {
         if let PropertyVerdict::Falsified { depth, trace } = &report.verdict {
@@ -451,22 +418,7 @@ impl<'a> PropRunner<'a> {
         // gates — primed cubes and the bad predicate are over latches and
         // frame-0 logic).
         let mut formula = CnfFormula::with_vars(2 * num_nodes);
-        formula.add_clause([unroller.var_of(NodeId::CONST, 0).negative()]);
-        formula.add_clause([unroller.var_of(NodeId::CONST, 1).negative()]);
-        for id in model.netlist().node_ids() {
-            match model.netlist().node(id) {
-                Node::Gate { .. } => unroller.emit_gate_for(id, 0, &mut formula),
-                Node::Latch {
-                    next: Some(next), ..
-                } => {
-                    let cur = unroller.var_of(id, 1).positive();
-                    let prev = unroller.lit_of(*next, 0);
-                    formula.add_clause([!cur, prev]);
-                    formula.add_clause([cur, !prev]);
-                }
-                _ => {}
-            }
-        }
+        unroller.emit_transition(&mut formula);
         let total = formula.num_clauses();
         for clause in formula.clauses_in(0..total) {
             solver.add_clause(clause.lits());

@@ -48,9 +48,10 @@
 //!   frame of the unrolling.
 //! - [`oracle`]: an explicit-state BFS reachability checker used as ground
 //!   truth in tests.
-//! - [`induction`]: a k-induction prover built on the same unroller (the
-//!   "combine with other techniques" extension the paper's conclusion
-//!   anticipates).
+//! - [`induction`]: a k-induction prover whose base cases are the BMC
+//!   depth loop itself and whose step cases run on one incremental solver
+//!   per property (the "combine with other techniques" extension the
+//!   paper's conclusion anticipates).
 //! - [`ic3`]: an IC3 engine over the same session solver, with the paper's
 //!   core ranking transplanted to per-frame **assumption ordering** (see
 //!   the module docs), extracted machine-checked inductive invariants, and

@@ -154,6 +154,7 @@ pub(crate) fn run_by_property(
         let mut episodes = Vec::new();
         let session = run_sequential(&ctx, &[p], &mut own_rank, |_, depth, _| {
             episodes.extend(depth.into_iter().map(|(_, episode)| episode));
+            Vec::new()
         });
         let mut share = shares[w].lock().expect("share lock");
         for episode in &episodes {

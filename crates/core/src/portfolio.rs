@@ -16,26 +16,31 @@
 //! weaker than a by-property run's: *which member* wins depends on scheduling
 //! (and with it the rank table and the search counters), and with a
 //! conflict budget the truncation point is the winner's. Member 0 is
-//! always the caller's own configuration, so a one-worker portfolio
-//! degenerates to exactly the sequential run.
+//! always the caller's own configuration, so a one-worker race of the
+//! BMC-only rosters degenerates to exactly the sequential run (under
+//! [`PortfolioMode::Full`] a prover's conclusive answer may outrank it).
 //!
 //! Losers are stopped through the cooperative [`CancelFlag`] of
-//! [`BmcEngine::set_cancel`]: the winner flips every other member's flag,
+//! [`BmcEngine::set_cancel`]: the winner flips every other member's flag
+//! (a parked BMC answer every other BMC member's),
 //! their solvers return [`Unknown`](rbmc_solver::SolveResult::Unknown) at
 //! the next conflict/decision boundary, and each cancelled run truncates
 //! through the ordinary budget machinery — no thread is ever killed.
 //!
 //! [`PortfolioMode::Full`] also races along the *engine* axis: besides the
 //! BMC strategy × reuse grid, the roster carries an [`Ic3Engine`] member
-//! (core-ordered assumptions) and a k-induction member. The asymmetry is
-//! deliberate — BMC hunts bugs, the provers hunt proofs — and it needs an
-//! eligibility rule: a prover may only claim the race when *every* property
-//! got a conclusive verdict ([`Falsified`](crate::PropertyVerdict::Falsified)
-//! or [`Proved`](crate::PropertyVerdict::Proved)); a prover that merely ran
-//! out of frontier reports [`MemberState::Incomplete`] and the race goes
-//! on. BMC members stay always-eligible (they are the authority on the
-//! bounded question the portfolio was asked), and member 0 is always the
-//! base BMC configuration, so a winner still always exists.
+//! (core-ordered assumptions) and a k-induction member. BMC hunts bugs, the
+//! provers hunt proofs, and the claim rule ranks their answers: a run that
+//! gives *every* property a conclusive verdict
+//! ([`Falsified`](crate::PropertyVerdict::Falsified) or
+//! [`Proved`](crate::PropertyVerdict::Proved)) claims the race at once,
+//! whoever ran it. A bounded answer — some property left open — claims it
+//! only when nothing stronger can come: the first complete bounded BMC run
+//! is *parked* and skips or cancels the other BMC members (no BMC member
+//! can beat it), and it wins only once every prover has ended
+//! [`MemberState::Incomplete`] or cancelled. A prover that merely ran out
+//! of frontier reports `Incomplete` and never claims. Member 0 is always
+//! the base BMC configuration, so a winner always exists.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -88,7 +93,11 @@ pub enum PortfolioMode {
     ReuseRegimes,
     /// Race the full strategy × reuse product, plus the proving engines:
     /// an IC3 member (core-ordered assumptions) and a k-induction member
-    /// race the BMC grid for an unbounded answer.
+    /// race the BMC grid for an unbounded answer. A run that decides every
+    /// property (falsified or proved) wins at once; the first bounded BMC
+    /// answer is parked, stops the other BMC members, and wins only once
+    /// every prover has ended without a conclusive answer or been
+    /// cancelled.
     Full,
 }
 
@@ -200,9 +209,10 @@ impl PortfolioMode {
 /// How one member's race ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemberState {
-    /// First to finish: its [`BmcRun`] is the portfolio's verdict.
+    /// Its [`BmcRun`] is the portfolio's verdict: the first conclusive
+    /// run, or else the parked bounded BMC answer.
     Won,
-    /// Finished complete, but after the winner had already claimed the race.
+    /// Finished uncancelled, but another member's answer took the race.
     Lost,
     /// Stopped early by the winner's cancellation.
     Cancelled,
@@ -211,7 +221,8 @@ pub enum MemberState {
     /// [`Proved`](crate::PropertyVerdict::Proved)) for every property —
     /// a prover that ran out of frontier. Not eligible to claim the race.
     Incomplete,
-    /// Never started: the race was already decided when a worker reached it.
+    /// Never started: the race was already decided when a worker reached
+    /// it, or — for a BMC member — a bounded BMC answer was already parked.
     Skipped,
 }
 
@@ -240,7 +251,8 @@ pub struct PortfolioRun {
 }
 
 /// Races `mode`'s roster on `problem` across up to `jobs` workers and
-/// returns the first complete verdict. The base `options` supply member 0
+/// returns the first conclusive verdict, or else the parked bounded BMC
+/// answer (see [`PortfolioMode::Full`]). The base `options` supply member 0
 /// and everything the roster does not override; `options.parallel` is
 /// ignored (each member runs its own sequential engine — the race *is* the
 /// parallelism).
@@ -254,10 +266,14 @@ pub fn run_portfolio(
     let members = mode.members_for(options);
     let flags: Vec<CancelFlag> = members.iter().map(|_| CancelFlag::new()).collect();
     let winner = AtomicUsize::new(usize::MAX);
+    let parked = AtomicUsize::new(usize::MAX);
+    let is_bmc = |i: usize| members[i].engine == EngineKind::Bmc;
 
     let mut results = striped_map(members.len(), jobs.max(1), |_, i| {
         let member_start = Instant::now();
-        if winner.load(Ordering::Acquire) != usize::MAX {
+        if winner.load(Ordering::Acquire) != usize::MAX
+            || (is_bmc(i) && parked.load(Ordering::Acquire) != usize::MAX)
+        {
             return (None, MemberState::Skipped, Duration::ZERO);
         }
         let member_options = BmcOptions {
@@ -276,35 +292,44 @@ pub fn run_portfolio(
         };
         engine.set_cancel(flags[i].clone());
         let run = engine.run_collecting();
-        // Eligibility: BMC answers the bounded question and always may
-        // claim; a prover claims only a fully conclusive answer.
-        let eligible = members[i].engine == EngineKind::Bmc
-            || run.properties.iter().all(|p| p.verdict.is_conclusive());
+        let conclusive = run.properties.iter().all(|p| p.verdict.is_conclusive());
         let state = if flags[i].is_cancelled() {
             MemberState::Cancelled
-        } else if !eligible {
+        } else if !conclusive && !is_bmc(i) {
             MemberState::Incomplete
-        } else if winner
-            .compare_exchange(usize::MAX, i, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            for (j, flag) in flags.iter().enumerate() {
-                if j != i {
-                    flag.cancel();
+        } else {
+            // A conclusive run claims the race and cancels every other
+            // member; a bounded BMC answer parks, cancels the other BMC
+            // members, and stays `Lost` unless no run claims the race.
+            let slot = if conclusive { &winner } else { &parked };
+            let claimed = slot
+                .compare_exchange(usize::MAX, i, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok();
+            if claimed {
+                for (j, flag) in flags.iter().enumerate() {
+                    if j != i && (conclusive || is_bmc(j)) {
+                        flag.cancel();
+                    }
                 }
             }
-            MemberState::Won
-        } else {
-            MemberState::Lost
+            if claimed && conclusive {
+                MemberState::Won
+            } else {
+                MemberState::Lost
+            }
         };
         (Some(run), state, member_start.elapsed())
     });
 
-    // A winner always exists: member 0 is always an always-eligible BMC
-    // member, and it finishes either uncancelled (its CAS wins or someone
-    // else's did first) or cancelled (which only a winner does).
-    let winner = winner.load(Ordering::Acquire);
+    // A winner always exists: member 0 is a BMC member, and it finishes
+    // uncancelled (claiming or parking, unless someone did first) or
+    // cancelled (which only a winner or a parked run does).
+    let winner = match winner.into_inner() {
+        usize::MAX => parked.into_inner(),
+        won => won,
+    };
     assert_ne!(winner, usize::MAX, "a portfolio race always has a winner");
+    results[winner].1 = MemberState::Won;
     let run = results[winner]
         .0
         .take()
@@ -401,9 +426,9 @@ mod tests {
 
     #[test]
     fn provers_only_win_with_fully_conclusive_verdicts() {
-        // Holding property (reset counter never reaches 13): whoever wins,
-        // the race must report no counterexample, and a prover winner must
-        // have proved everything it claimed.
+        // Holding property (reset counter never reaches 13): BMC leaves it
+        // open at the bound, so its answer stays parked and a prover's
+        // proof takes the race.
         let mut n = Netlist::new();
         let bits: Vec<Signal> = (0..4)
             .map(|i| n.add_latch(&format!("b{i}"), LatchInit::Zero))
@@ -425,16 +450,15 @@ mod tests {
                 "j{jobs}: {:?}",
                 race.run.outcome
             );
-            let winner = &race.members[race.winner];
-            if winner.member.engine != EngineKind::Bmc {
-                assert!(
-                    race.run
-                        .properties
-                        .iter()
-                        .all(|p| p.verdict.is_conclusive()),
-                    "j{jobs}: prover winner with inconclusive verdicts"
-                );
-            }
+            assert!(
+                matches!(
+                    race.run.properties[0].verdict,
+                    crate::PropertyVerdict::Proved { .. }
+                ),
+                "j{jobs}: {}",
+                race.run.properties[0].verdict
+            );
+            assert_ne!(race.members[race.winner].member.engine, EngineKind::Bmc);
             // Incomplete is a prover-only state.
             for m in &race.members {
                 if m.state == MemberState::Incomplete {

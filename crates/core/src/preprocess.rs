@@ -19,7 +19,9 @@
 use rbmc_circuit::preprocess::{preprocess, PreprocessReport};
 use rbmc_circuit::{LatchInit, Netlist, Node};
 
-use crate::{ProblemBuilder, Trace, VerificationProblem};
+use crate::{
+    BmcOutcome, BmcRun, Model, ProblemBuilder, PropertyVerdict, Trace, VerificationProblem,
+};
 
 /// Maps traces found on a preprocessed (reduced) problem back to the
 /// original problem's latch/input coordinates.
@@ -153,6 +155,65 @@ pub fn preprocess_problem(problem: &VerificationProblem) -> PreprocessedProblem 
         problem: builder.build(),
         lift,
         report: pp.report,
+    }
+}
+
+/// The model an engine solves, and the way back to the problem as given:
+/// every engine preprocesses once, when it is built, and lifts every trace
+/// it returns.
+#[derive(Debug)]
+pub(crate) struct WorkingModel {
+    /// What the solver encodes: the reduction when preprocessing is on,
+    /// otherwise the model as given.
+    pub(crate) model: Model,
+    /// When preprocessing rebuilt the model: the model as given, the trace
+    /// map back to it, and the pass's shape accounting.
+    pass: Option<(Model, TraceLift, PreprocessReport)>,
+}
+
+impl WorkingModel {
+    pub(crate) fn new(model: Model, preprocess: bool) -> WorkingModel {
+        if !preprocess {
+            return WorkingModel { model, pass: None };
+        }
+        let problem = model.into_problem();
+        let pp = preprocess_problem(&problem);
+        let original = Model::from_problem(problem);
+        WorkingModel {
+            model: Model::from_problem(pp.problem),
+            pass: Some((original, pp.lift, pp.report)),
+        }
+    }
+
+    /// The model as given.
+    pub(crate) fn original(&self) -> &Model {
+        self.pass
+            .as_ref()
+            .map_or(&self.model, |(original, _, _)| original)
+    }
+
+    pub(crate) fn lift(&self) -> Option<&TraceLift> {
+        self.pass.as_ref().map(|(_, lift, _)| lift)
+    }
+
+    pub(crate) fn report(&self) -> Option<&PreprocessReport> {
+        self.pass.as_ref().map(|(_, _, report)| report)
+    }
+
+    /// Lifts every trace of `run` to the problem as given: callers only
+    /// ever see the problem they posed.
+    pub(crate) fn lift_traces(&self, run: &mut BmcRun) {
+        let Some(lift) = self.lift().filter(|l| !l.is_identity()) else {
+            return;
+        };
+        if let BmcOutcome::Counterexample { trace, .. } = &mut run.outcome {
+            *trace = lift.lift(trace);
+        }
+        for prop in &mut run.properties {
+            if let PropertyVerdict::Falsified { trace, .. } = &mut prop.verdict {
+                *trace = lift.lift(trace);
+            }
+        }
     }
 }
 

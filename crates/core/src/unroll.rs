@@ -74,6 +74,9 @@ struct PrefixCache {
 pub struct Unroller<'a> {
     model: &'a Model,
     num_nodes: usize,
+    /// Whether frame 0 carries the initial-state predicate `I(V⁰)` (off
+    /// only for the step case of k-induction).
+    initialized: bool,
     prefix: RefCell<PrefixCache>,
 }
 
@@ -93,7 +96,18 @@ impl<'a> Unroller<'a> {
         Unroller {
             model,
             num_nodes: model.netlist().num_nodes(),
+            initialized: true,
             prefix: RefCell::new(PrefixCache::default()),
+        }
+    }
+
+    /// An unroller whose frame 0 is unconstrained (no `I(V⁰)`): the paths
+    /// of k-induction's step case start in any state. Numbering and every
+    /// other clause are exactly [`Unroller::new`]'s.
+    pub(crate) fn uninitialized(model: &'a Model) -> Unroller<'a> {
+        Unroller {
+            initialized: false,
+            ..Unroller::new(model)
         }
     }
 
@@ -299,7 +313,8 @@ impl<'a> Unroller<'a> {
     }
 
     /// Emits the constraints of one time frame: constant pinning, gate
-    /// relations, the initial-state predicate (frame 0), and the transition
+    /// relations, the initial-state predicate (frame 0, unless the unroller
+    /// is [uninitialized](Unroller::uninitialized)), and the transition
     /// linking to the previous frame (frames ≥ 1).
     fn emit_frame(&self, frame: usize, formula: &mut CnfFormula) {
         let netlist = self.model.netlist();
@@ -310,22 +325,20 @@ impl<'a> Unroller<'a> {
                 Node::Const | Node::Input => {}
                 Node::Latch { init, next } => {
                     if frame == 0 {
+                        // An uninitialized unroller leaves every register
+                        // free.
                         match init {
-                            LatchInit::Zero => {
+                            LatchInit::Zero if self.initialized => {
                                 formula.add_clause([self.var_of(id, 0).negative()]);
                             }
-                            LatchInit::One => {
+                            LatchInit::One if self.initialized => {
                                 formula.add_clause([self.var_of(id, 0).positive()]);
                             }
-                            LatchInit::Free => {}
+                            _ => {}
                         }
                     } else {
-                        // V^frame = next(V^{frame-1}, W^{frame-1}).
                         let next = next.expect("validated netlist");
-                        let cur = self.var_of(id, frame).positive();
-                        let prev = self.lit_of(next, frame - 1);
-                        formula.add_clause([!cur, prev]);
-                        formula.add_clause([cur, !prev]);
+                        self.emit_latch_step(id, next, frame, formula);
                     }
                 }
                 Node::Gate { op, fanins } => {
@@ -333,6 +346,32 @@ impl<'a> Unroller<'a> {
                 }
             }
         }
+    }
+
+    /// IC3's one-step transition relation: frame 0's combinational logic
+    /// with every register and input free, and frame 1's register
+    /// transitions only (its queries never read frame-1 gates).
+    pub(crate) fn emit_transition(&self, formula: &mut CnfFormula) {
+        let netlist = self.model.netlist();
+        formula.add_clause([self.var_of(NodeId::CONST, 0).negative()]);
+        formula.add_clause([self.var_of(NodeId::CONST, 1).negative()]);
+        for id in netlist.node_ids() {
+            match netlist.node(id) {
+                Node::Gate { op, fanins } => self.emit_gate(id, *op, fanins, 0, formula),
+                Node::Latch {
+                    next: Some(next), ..
+                } => self.emit_latch_step(id, *next, 1, formula),
+                _ => {}
+            }
+        }
+    }
+
+    /// `V^frame = next(V^{frame-1}, W^{frame-1})` for register `id`.
+    fn emit_latch_step(&self, id: NodeId, next: Signal, frame: usize, formula: &mut CnfFormula) {
+        let cur = self.var_of(id, frame).positive();
+        let prev = self.lit_of(next, frame - 1);
+        formula.add_clause([!cur, prev]);
+        formula.add_clause([cur, !prev]);
     }
 
     /// Full Tseitin encoding of one gate (output variable ⟷ gate function).
@@ -393,14 +432,6 @@ impl<'a> Unroller<'a> {
                 formula.add_clause([!a, !b, out]);
                 formula.add_clause([a, b, !out]);
             }
-        }
-    }
-
-    /// Emits the Tseitin clauses of a single gate at `frame` (used by the
-    /// induction prover to assemble uninitialized unrollings).
-    pub(crate) fn emit_gate_for(&self, id: NodeId, frame: usize, formula: &mut CnfFormula) {
-        if let Node::Gate { op, fanins } = self.model.netlist().node(id) {
-            self.emit_gate(id, *op, fanins, frame, formula);
         }
     }
 

@@ -1,21 +1,28 @@
-//! Differential property test: the IC3 engine against the BMC oracle.
+//! Differential property test: the proving engines against the BMC oracle.
 //!
-//! Random sequential circuits are checked by both engines to the same bound.
-//! Wherever BMC finds a counterexample, IC3 must falsify at the **same**
-//! depth with a validated trace; wherever BMC leaves the property open, IC3
-//! may either agree (open at the bound) or close it with a proof — and every
-//! proof must carry an invariant that passes [`check_invariant`]'s
-//! independent initiation/consecution/safety solver queries. A second,
+//! Random sequential circuits are checked by BMC, IC3 and k-induction to the
+//! same bound. Wherever BMC finds a counterexample, each prover must falsify
+//! at the **same** depth with a validated trace; wherever BMC leaves the
+//! property open, a prover may either agree (open at the bound) or close it
+//! with a proof. Every IC3 proof must carry an invariant that passes
+//! [`check_invariant`]'s independent initiation/consecution/safety solver
+//! queries. k-induction's base cases are BMC's own episodes, so its
+//! per-depth base search must equal the BMC run's, decision for decision,
+//! over the depths it ran. Random circuits rarely fail deep, so
+//! k-induction is also checked against the ground truth of the small suite
+//! and the proving specimens. A further,
 //! deterministic test runs the proving specimens of `proof_suite` end to
 //! end: all of them must prove, under both the unordered and the
 //! core-ordered assumption ranking.
 
 use proptest::prelude::*;
+use refined_bmc::bmc::induction::InductionEngine;
 use refined_bmc::bmc::{
-    check_invariant, BmcEngine, BmcOptions, Ic3Engine, Model, OrderingStrategy, PropertyVerdict,
+    check_invariant, BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, OrderingStrategy,
+    PropertyVerdict,
 };
 use refined_bmc::circuit::{LatchInit, Netlist, Signal};
-use refined_bmc::gens::{proof_suite, Expectation};
+use refined_bmc::gens::{proof_suite, small_suite, Expectation};
 
 /// Construction steps over a signal pool (inputs, latches, then gates).
 #[derive(Debug, Clone)]
@@ -165,6 +172,44 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn induction_agrees_with_the_bmc_oracle_on_random_models(recipe in arb_recipe()) {
+        const DEPTH: usize = 6;
+        let model = build(&recipe);
+        for strategy in [OrderingStrategy::Standard, OrderingStrategy::RefinedStatic] {
+            let options = BmcOptions { max_depth: DEPTH, strategy, ..BmcOptions::default() };
+            let bmc_run = BmcEngine::new(model.clone(), options).run_collecting();
+            let run = InductionEngine::new(model.clone(), options).run_collecting();
+            // One search: the base cases are the BMC session's episodes.
+            let search = |run: &BmcRun| -> Vec<(u64, u64)> {
+                run.per_depth.iter().map(|d| (d.decisions, d.conflicts)).collect()
+            };
+            let (base, oracle) = (search(&run), search(&bmc_run));
+            prop_assert!(base.len() <= oracle.len(), "{:?}", strategy);
+            prop_assert_eq!(&base[..], &oracle[..base.len()], "{:?}", strategy);
+            match (&bmc_run.properties[0].verdict, &run.properties[0].verdict) {
+                (
+                    PropertyVerdict::Falsified { depth: oracle_depth, .. },
+                    PropertyVerdict::Falsified { depth, trace },
+                ) => {
+                    prop_assert_eq!(depth, oracle_depth, "{:?}", strategy);
+                    prop_assert!(
+                        trace.validate(&model).is_ok(),
+                        "{:?}: induction trace fails replay", strategy
+                    );
+                }
+                (PropertyVerdict::OpenAt { .. }, PropertyVerdict::Proved { .. }) => {}
+                (PropertyVerdict::OpenAt { .. }, PropertyVerdict::OpenAt { depth }) => {
+                    prop_assert_eq!(*depth, DEPTH, "{:?}", strategy);
+                }
+                (oracle, other) => prop_assert!(
+                    false,
+                    "bmc said {oracle} but induction said {other} under {strategy:?}"
+                ),
+            }
+        }
+    }
 }
 
 /// The dedicated proving specimens all close under IC3 — with either
@@ -204,6 +249,32 @@ fn proof_suite_proves_under_both_assumption_orders() {
                     instance.name
                 ),
             }
+        }
+    }
+}
+
+/// k-induction against ground truth: every failing instance of the small
+/// suite falsifies at its minimal depth with a replaying trace (a step case
+/// that proved too early would claim a proof here), and no holding instance
+/// of the small suite or the proving specimens is ever falsified.
+#[test]
+fn induction_matches_the_ground_truth_of_the_small_and_proof_suites() {
+    for instance in small_suite().into_iter().chain(proof_suite()) {
+        let options = BmcOptions {
+            max_depth: instance.max_depth,
+            ..BmcOptions::default()
+        };
+        let run = InductionEngine::new(instance.model.clone(), options).run_collecting();
+        match (&instance.expectation, &run.properties[0].verdict) {
+            (Expectation::FailsAt(expected), PropertyVerdict::Falsified { depth, trace }) => {
+                assert_eq!(depth, expected, "{}", instance.name);
+                assert!(trace.validate(&instance.model).is_ok(), "{}", instance.name);
+            }
+            (
+                Expectation::Holds,
+                PropertyVerdict::Proved { .. } | PropertyVerdict::OpenAt { .. },
+            ) => {}
+            (expected, got) => panic!("{}: expected {expected:?}, got {got}", instance.name),
         }
     }
 }

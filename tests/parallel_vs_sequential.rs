@@ -8,7 +8,10 @@
 //! regime's `varRank` table bit for bit. Every portfolio roster at every worker
 //! budget must reproduce the same verdicts, with a validating trace for
 //! every counterexample; its rank table depends on which member wins, so
-//! it is not compared.
+//! it is not compared. A full-mode race may be won by a prover, whose
+//! verdicts must agree with the sequential oracle on their shared depth
+//! prefix, with the same falsification depths (so a proof never coexists
+//! with an oracle counterexample).
 
 use proptest::prelude::*;
 use refined_bmc::bmc::{
@@ -249,13 +252,33 @@ proptest! {
         ] {
             for jobs in [1usize, 2, 4] {
                 let race = run_portfolio(&problem, &base, mode, jobs).run;
-                prop_assert_eq!(
-                    signature(&race),
-                    signature(&oracle),
-                    "portfolio-{} jobs={}",
-                    mode.label(),
-                    jobs
-                );
+                if mode == PortfolioMode::Full {
+                    for (p, o) in race.properties.iter().zip(&oracle.properties) {
+                        let shared = p.depth_results.len().min(o.depth_results.len());
+                        prop_assert_eq!(
+                            &p.depth_results[..shared],
+                            &o.depth_results[..shared],
+                            "portfolio-full jobs={} property {}",
+                            jobs,
+                            &p.name
+                        );
+                        prop_assert_eq!(
+                            p.retirement_depth,
+                            o.retirement_depth,
+                            "portfolio-full jobs={} property {}",
+                            jobs,
+                            &p.name
+                        );
+                    }
+                } else {
+                    prop_assert_eq!(
+                        signature(&race),
+                        signature(&oracle),
+                        "portfolio-{} jobs={}",
+                        mode.label(),
+                        jobs
+                    );
+                }
                 for (idx, prop) in race.properties.iter().enumerate() {
                     if let PropertyVerdict::Falsified { trace, .. } = &prop.verdict {
                         prop_assert!(

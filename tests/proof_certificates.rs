@@ -447,13 +447,14 @@ fn incremental_checks_agree_with_one_shot_across_sessions() {
 /// exactly as many steps. With `--features debug-invariants`, the
 /// certifier additionally compares every episode's verdict with a one-shot
 /// check of the same prefix and panics on any disagreement, so these runs
-/// are then an episode-by-episode differential of both engines.
+/// are then an episode-by-episode differential of all three engines.
 #[test]
 fn engine_runs_certify_incrementally() {
+    use refined_bmc::bmc::induction::InductionEngine;
     use refined_bmc::bmc::{BmcEngine, BmcOptions, BmcRun, Ic3Engine, Model, ProofMode};
     use refined_bmc::gens::families;
 
-    fn run(model: &Model, max_depth: usize, ic3: bool, proof: ProofMode) -> BmcRun {
+    fn run(model: &Model, max_depth: usize, engine: &str, proof: ProofMode) -> BmcRun {
         let options = BmcOptions {
             max_depth,
             proof,
@@ -464,10 +465,10 @@ fn engine_runs_certify_incrementally() {
             },
             ..BmcOptions::default()
         };
-        if ic3 {
-            Ic3Engine::new(model.clone(), options).run_collecting()
-        } else {
-            BmcEngine::new(model.clone(), options).run_collecting()
+        match engine {
+            "ic3" => Ic3Engine::new(model.clone(), options).run_collecting(),
+            "induction" => InductionEngine::new(model.clone(), options).run_collecting(),
+            _ => BmcEngine::new(model.clone(), options).run_collecting(),
         }
     }
 
@@ -482,10 +483,9 @@ fn engine_runs_certify_incrementally() {
         ("fifo_unguarded(2)", families::fifo_unguarded(2), 8),
     ];
     for (name, model, max_depth) in &instances {
-        for ic3 in [false, true] {
-            let engine = if ic3 { "ic3" } else { "bmc" };
-            let checked = run(model, *max_depth, ic3, ProofMode::Check);
-            let logged = run(model, *max_depth, ic3, ProofMode::Log);
+        for engine in ["bmc", "ic3", "induction"] {
+            let checked = run(model, *max_depth, engine, ProofMode::Check);
+            let logged = run(model, *max_depth, engine, ProofMode::Log);
             let checked = checked.proof.expect("proof summary under Check");
             let logged = logged.proof.expect("proof summary under Log");
             assert_eq!(
